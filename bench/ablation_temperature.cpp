@@ -6,28 +6,9 @@
 #include <cmath>
 
 #include "bench_common.hpp"
-#include "device/table_builder.hpp"
+#include "device/model_zoo.hpp"
 
 using namespace tfetsram;
-
-namespace {
-
-device::ModelSet models_at(double temperature) {
-    device::TfetParams tp;
-    tp.temperature = temperature;
-    device::MosfetParams nmos;
-    nmos.temperature = temperature;
-    device::MosfetParams pmos = device::pmos_defaults();
-    pmos.temperature = temperature;
-    device::ModelSet set;
-    set.ntfet = device::build_table(*device::make_ntfet(tp));
-    set.ptfet = device::build_table(*device::make_ptfet(tp));
-    set.nmos = device::make_nmos(nmos);
-    set.pmos = device::make_pmos(pmos);
-    return set;
-}
-
-} // namespace
 
 int main() {
     bench::banner("Ablation", "temperature sweep (the athermal-tunneling edge)");
@@ -54,7 +35,7 @@ int main() {
             0.1 / std::log10(mos.iv(0.20, 0.8).ids / mos.iv(0.10, 0.8).ids) *
             1e3;
 
-        const device::ModelSet set = models_at(temp);
+        const device::ModelSet set = device::make_model_set_at(tp, temp);
         sram::SramCell prop =
             sram::build_cell(sram::proposed_design(0.8, set).config);
         sram::SramCell cmos =

@@ -8,7 +8,7 @@
 # (docs/CELLZOO.md), an ASan+UBSan build running the
 # linear-kernel suites (the sparse LU's pointer-chasing DFS and in-place
 # pivoting are exactly the code sanitizers exist for) plus the netlist
-# parser suite, then a
+# parser and device-table extraction suites, then a
 # ThreadSanitizer build running the concurrent subsystem's tests
 # (the task-graph scheduler, thread pool, result cache, the Monte-Carlo
 # engine that fans out through the shared pool, and the fault-injection
@@ -151,7 +151,7 @@ else
   echo "=== build (Address+UndefinedBehaviorSanitizer) ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTFETSRAM_SANITIZE=address,undefined
-  cmake --build build-asan -j "$JOBS" --target test_la test_sparse_diff test_hier_diff test_yield test_netlist
+  cmake --build build-asan -j "$JOBS" --target test_la test_sparse_diff test_hier_diff test_yield test_netlist test_device_table
 
   echo "=== asan+ubsan: linear-kernel and differential suites ==="
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
@@ -173,6 +173,13 @@ else
   # string handling like that belongs under the memory sanitizers.
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/test_netlist
+  # Table extraction streams rows through TransistorModel::sample_grid,
+  # which hands out raw row pointers into per-call scratch (and the mirror
+  # wraps them in a second buffer); the differential suite walks every
+  # model flavor through it under the memory sanitizers
+  # (docs/DEVICE_MODEL.md §3).
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_device_table
 fi
 
 if [[ "$SKIP_TSAN" == "1" ]]; then

@@ -5,7 +5,6 @@
 
 #include "core/report.hpp"
 #include "device/model_zoo.hpp"
-#include "device/table_builder.hpp"
 #include "sram/cell_zoo.hpp"
 #include "sram/operations.hpp"
 #include "util/table_printer.hpp"
@@ -19,25 +18,6 @@ void check(std::vector<std::string>& failures, bool ok,
            const std::string& what) {
     if (!ok)
         failures.push_back(what);
-}
-
-/// Rebuild a model set at the given temperature and oxide-thickness scale
-/// (TFETs tabulated, the CMOS baseline analytic — the standard flow).
-device::ModelSet models_at(const device::TfetParams& base, double temperature,
-                           double tox_scale = 1.0) {
-    device::TfetParams tp = base;
-    tp.temperature = temperature;
-    tp.tox = base.tox * tox_scale;
-    device::MosfetParams nmos;
-    nmos.temperature = temperature;
-    device::MosfetParams pmos = device::pmos_defaults();
-    pmos.temperature = temperature;
-    device::ModelSet set;
-    set.ntfet = device::build_table(*device::make_ntfet(tp));
-    set.ptfet = device::build_table(*device::make_ptfet(tp));
-    set.nmos = device::make_nmos(nmos);
-    set.pmos = device::make_pmos(pmos);
-    return set;
 }
 
 } // namespace
@@ -54,14 +34,16 @@ SignoffReport signoff(const sram::DesignSpec& design,
     const sram::MetricOptions& mo = cond.metrics;
 
     // ---- Supply x Tox corners at nominal temperature ----
-    const device::ModelSet nominal_models = models_at(tfet_params, 300.0);
+    const device::ModelSet nominal_models =
+        device::make_model_set_at(tfet_params, 300.0);
     std::vector<double> tox_scales = cond.tox_scales;
     if (tox_scales.empty())
         tox_scales.push_back(1.0);
     std::vector<device::ModelSet> tox_models;
     for (double tox : tox_scales)
-        tox_models.push_back(tox == 1.0 ? nominal_models
-                                        : models_at(tfet_params, 300.0, tox));
+        tox_models.push_back(
+            tox == 1.0 ? nominal_models
+                       : device::make_model_set_at(tfet_params, 300.0, tox));
     for (double vdd : cond.vdd_corners) {
       for (std::size_t ti = 0; ti < tox_scales.size(); ++ti) {
         const double tox = tox_scales[ti];
@@ -114,7 +96,7 @@ SignoffReport signoff(const sram::DesignSpec& design,
     // ---- Temperature corners (hold integrity + leakage) ----
     for (double temp : cond.temperature_corners) {
         sram::CellConfig cfg = design.config;
-        cfg.models = models_at(tfet_params, temp);
+        cfg.models = device::make_model_set_at(tfet_params, temp);
         sram::SramCell cell = sram::build_cell(cfg);
         TemperatureRow row;
         row.temperature = temp;

@@ -44,9 +44,9 @@ public:
     [[nodiscard]] spice::CvSample cv(double vgs, double vds) const override;
     [[nodiscard]] const char* name() const override { return name_.c_str(); }
 
-    /// Fused batched I-V: one structure-of-arrays interpolation sweep over
-    /// the T grid followed by the sinh/cosh reconstruction, bitwise equal
-    /// to n scalar iv() calls. This is the array-scale hot loop the
+    /// Batched I-V: Grid2d::eval_many over the T grid (a scalar loop
+    /// today) followed by the sinh/cosh reconstruction, bitwise equal to n
+    /// scalar iv() calls. This is the array-scale hot loop the
     /// DeviceEvalBatch drives once per Newton iterate.
     void iv_many(const double* vgs, const double* vds, std::size_t n,
                  spice::IvSample* out) const override;
@@ -57,6 +57,9 @@ public:
     [[nodiscard]] Grid2d& t_grid() { return t_grid_; }
     [[nodiscard]] Grid2d& cgs_grid() { return cgs_grid_; }
     [[nodiscard]] Grid2d& cgd_grid() { return cgd_grid_; }
+    [[nodiscard]] const Grid2d& t_grid() const { return t_grid_; }
+    [[nodiscard]] const Grid2d& cgs_grid() const { return cgs_grid_; }
+    [[nodiscard]] const Grid2d& cgd_grid() const { return cgd_grid_; }
 
     /// The fixed output shape F(vds) and its derivative.
     struct OutputShape {

@@ -255,10 +255,8 @@ Grid2d::Sample Grid2d::eval(double x, double y) const {
 
 void Grid2d::eval_many(const double* xs, const double* ys, std::size_t n,
                        Sample* out) const {
-    // One tight pass over structure-of-arrays inputs: shared clamp +
-    // cell-locate + fused value/derivative evaluation per point, identical
-    // arithmetic to eval() (the batched device path depends on bitwise
-    // agreement with the scalar path).
+    // Scalar loop: the batched device path depends on bitwise agreement
+    // with eval(), which calling it trivially guarantees.
     for (std::size_t i = 0; i < n; ++i)
         out[i] = eval(xs[i], ys[i]);
 }

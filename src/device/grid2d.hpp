@@ -40,9 +40,9 @@ public:
     [[nodiscard]] Sample eval(double x, double y) const;
 
     /// Batched evaluation: out[i] = eval(xs[i], ys[i]) for i in [0, n).
-    /// One structure-of-arrays pass (shared cell-locate, fused
-    /// value+derivative) — the per-iterate hot loop of array-scale device
-    /// evaluation. Bitwise-identical to n scalar eval() calls.
+    /// Today this is a plain scalar loop over eval() — one entry point the
+    /// batched device path can later vectorize (no fused SoA pass yet).
+    /// Must stay bitwise-identical to n scalar eval() calls.
     void eval_many(const double* xs, const double* ys, std::size_t n,
                    Sample* out) const;
 

@@ -48,10 +48,15 @@ const ModelSetSpec& find_model_set(const std::string& name) {
 
 ModelSet make_model_set_at(const ModelSetSpec& spec, double temperature,
                            double tox_scale, bool tabulated) {
+    return make_model_set_at(spec.tfet, temperature, tox_scale, tabulated);
+}
+
+ModelSet make_model_set_at(const TfetParams& tfet, double temperature,
+                           double tox_scale, bool tabulated) {
     TFET_EXPECTS(tox_scale > 0.0);
-    TfetParams tp = spec.tfet;
+    TfetParams tp = tfet;
     tp.temperature = temperature;
-    tp.tox = spec.tfet.tox * tox_scale;
+    tp.tox = tfet.tox * tox_scale;
 
     MosfetParams nmos;
     nmos.temperature = temperature;

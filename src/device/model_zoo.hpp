@@ -34,4 +34,10 @@ const ModelSetSpec& find_model_set(const std::string& name);
 ModelSet make_model_set_at(const ModelSetSpec& spec, double temperature,
                            double tox_scale = 1.0, bool tabulated = true);
 
+/// The same corner instantiation from a bare TFET calibration — the one
+/// builder behind every corner model set (signoff, temperature ablation,
+/// the zoo).
+ModelSet make_model_set_at(const TfetParams& tfet, double temperature,
+                           double tox_scale = 1.0, bool tabulated = true);
+
 } // namespace tfetsram::device

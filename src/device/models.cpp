@@ -39,6 +39,27 @@ void MirrorModel::iv_many(const double* vgs, const double* vds, std::size_t n,
         out[i].ids = -out[i].ids;
 }
 
+void MirrorModel::sample_grid(const double* xs, std::size_t nx,
+                              const double* ys, std::size_t ny,
+                              const spice::GridRowSink& row) const {
+    std::vector<double> neg_xs(nx);
+    std::vector<double> neg_ys(ny);
+    for (std::size_t ix = 0; ix < nx; ++ix)
+        neg_xs[ix] = -xs[ix];
+    for (std::size_t iy = 0; iy < ny; ++iy)
+        neg_ys[iy] = -ys[iy];
+    std::vector<spice::IvSample> flipped(nx);
+    inner_->sample_grid(
+        neg_xs.data(), nx, neg_ys.data(), ny,
+        [&](std::size_t iy, const spice::IvSample* iv,
+            const spice::CvSample* cv) {
+            // The scalar iv() transform; C-V passes through unchanged.
+            for (std::size_t ix = 0; ix < nx; ++ix)
+                flipped[ix] = {-iv[ix].ids, iv[ix].gm, iv[ix].gds};
+            row(iy, flipped.data(), cv);
+        });
+}
+
 spice::TransistorModelPtr make_ntfet(const TfetParams& params) {
     return std::make_shared<TfetModel>(params);
 }

@@ -25,6 +25,12 @@ public:
     void iv_many(const double* vgs, const double* vds, std::size_t n,
                  spice::IvSample* out) const override;
 
+    /// Mirrored grid sweep: negate both axes once, forward to the inner
+    /// model's (possibly separable) sweep, and flip each row's current.
+    void sample_grid(const double* xs, std::size_t nx, const double* ys,
+                     std::size_t ny,
+                     const spice::GridRowSink& row) const override;
+
 private:
     spice::TransistorModelPtr inner_;
     std::string name_;

@@ -85,6 +85,15 @@ public:
     [[nodiscard]] spice::CvSample cv(double vgs, double vds) const override;
     [[nodiscard]] const char* name() const override { return "nTFET"; }
 
+    /// Separable grid sweep: I = K(vgs) * F(vds) - I_pin(vds) and C-V is a
+    /// gate sigmoid times a drain sigmoid, so the kernel and channel
+    /// sigmoid are evaluated once per column, the output factor, p-i-n
+    /// branch and drain sigmoid once per row, and each point only combines
+    /// them — with the same operations, in the same order, as iv()/cv().
+    void sample_grid(const double* xs, std::size_t nx, const double* ys,
+                     std::size_t ny,
+                     const spice::GridRowSink& row) const override;
+
     [[nodiscard]] const TfetParams& params() const { return params_; }
 
     /// Kane prefactor resolved by calibration.
@@ -101,6 +110,26 @@ public:
     [[nodiscard]] Kernel kernel(double vgs) const;
 
 private:
+    /// Drain-axis factors of the I-V: the output factor with its vds
+    /// derivative, and the p-i-n body-diode current and conductance (zero
+    /// unless vds < 0).
+    struct DrainTerms {
+        double fo;
+        double dfo;
+        double i_pin;
+        double g_pin;
+    };
+    [[nodiscard]] DrainTerms drain_terms(double vds) const;
+    [[nodiscard]] static spice::IvSample combine_iv(const Kernel& k,
+                                                    const DrainTerms& d,
+                                                    double vds);
+
+    /// C-V factors: channel-formation sigmoid (gate axis) and saturation
+    /// sigmoid (drain axis), and their product form.
+    [[nodiscard]] double cv_channel(double vgs) const;
+    [[nodiscard]] static double cv_saturation(double vds);
+    [[nodiscard]] spice::CvSample combine_cv(double ch, double sat) const;
+
     TfetParams params_;
     double kane_k_ = 0.0;
     double kane_b_ = 0.0;

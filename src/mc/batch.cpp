@@ -12,11 +12,12 @@ namespace tfetsram::mc {
 
 McResult run_sample_block(const spice::SimContext& ctx,
                           const sram::CellConfig& base_config,
-                          std::span<const TfetVariationSampler::Draw> draws,
+                          const TfetVariationSampler& sampler,
+                          std::span<const double> tox_values,
                           const CellMetric& metric,
                           const la::Vector& nominal_seed,
                           const BatchOptions& options, BatchStats* stats) {
-    const std::size_t n = draws.size();
+    const std::size_t n = tox_values.size();
     TFET_EXPECTS(n >= 1);
     TFET_EXPECTS(metric != nullptr);
     TFET_EXPECTS(options.policy.max_attempts >= 1);
@@ -64,6 +65,10 @@ McResult run_sample_block(const spice::SimContext& ctx,
             // samples censor without spending a solve.
             const bool expired =
                 cctx.poll_cancellation() != spice::SolveErrorCode::kNone;
+            // Per-sample tables, built in this lane (see run_monte_carlo).
+            device::ModelSet models;
+            if (!expired)
+                models = sampler.draw_at_tox(tox_values[i]).models;
             for (; !expired && attempt <= options.policy.max_attempts;
                  ++attempt) {
                 // First attempt runs on the persistent lane cell (built
@@ -75,13 +80,13 @@ McResult run_sample_block(const spice::SimContext& ctx,
                 std::optional<sram::SramCell> scratch;
                 sram::SramCell* cell = nullptr;
                 if (lockstep && lane_cell) {
-                    sram::retarget_models(*lane_cell, draws[i].models);
+                    sram::retarget_models(*lane_cell, models);
                     lane_cell->sim = &cctx; // attribute this sample's work
                     ++lane_retargets[lane];
                     cell = &*lane_cell;
                 } else {
                     sram::CellConfig cfg = base_config;
-                    cfg.models = draws[i].models;
+                    cfg.models = models;
                     if (attempt > 1 && options.policy.reseed)
                         options.policy.reseed(cfg, attempt, i);
                     ++lane_builds[lane];
@@ -125,7 +130,7 @@ McResult run_sample_block(const spice::SimContext& ctx,
                 ++lane_censored[lane];
             result.samples[i] = value;
             result.censored[i] = converged ? 0 : 1;
-            result.tox_values[i] = draws[i].tox;
+            result.tox_values[i] = tox_values[i];
         }
     });
     // parallel_for is a barrier: children are quiescent, fold their
@@ -157,20 +162,20 @@ McResult run_monte_carlo_batched(const spice::SimContext& ctx,
                                  std::size_t threads, const McPolicy& policy,
                                  BatchStats* stats) {
     TFET_EXPECTS(n >= 1);
-    // Identical up-front draw stream and nominal warm-start solve as the
-    // serial engine, so the two are sample-for-sample comparable.
-    std::vector<TfetVariationSampler::Draw> draws;
-    draws.reserve(n);
+    // Identical up-front Tox stream and nominal warm-start solve as the
+    // serial engine, so the two are sample-for-sample comparable; the
+    // lanes build each sample's tables themselves.
+    std::vector<double> tox(n);
     Rng rng(seed);
     for (std::size_t i = 0; i < n; ++i)
-        draws.push_back(sampler.sample(rng));
+        tox[i] = sampler.sample_tox(rng);
     const la::Vector nominal_seed = nominal_hold_seed(ctx, base_config);
 
     BatchOptions options;
     options.threads = threads;
     options.policy = policy;
-    return run_sample_block(ctx, base_config, draws, metric, nominal_seed,
-                            options, stats);
+    return run_sample_block(ctx, base_config, sampler, tox, metric,
+                            nominal_seed, options, stats);
 }
 
 } // namespace tfetsram::mc

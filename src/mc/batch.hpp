@@ -27,7 +27,7 @@ namespace tfetsram::mc {
 struct BatchOptions {
     std::size_t threads = 0; ///< worker lanes; 0 = hardware concurrency
     McPolicy policy;
-    /// Child-context stream of draws[0]; draw i runs under stream
+    /// Child-context stream of sample 0; sample i runs under stream
     /// `stream_offset + i`. The adaptive yield driver bumps this per round
     /// so every sample of a run keeps a globally unique, deterministic
     /// seed stream.
@@ -45,8 +45,12 @@ struct BatchStats {
     std::size_t model_retargets = 0; ///< in-place swaps that skipped one
 };
 
-/// Evaluate `metric` on every draw through persistent lockstep lanes.
-/// Sample i runs under ctx.child(stream_offset + i) with the same
+/// Evaluate `metric` at every thickness in `tox_values` through persistent
+/// lockstep lanes. Each sample's models come from
+/// sampler.draw_at_tox(tox_values[i]), built by its lane just before the
+/// first attempt and kept for its retries (an already-expired sample is
+/// censored without building them). Sample i runs under
+/// ctx.child(stream_offset + i) with the same
 /// cancellation checkpoints, retry policy (retries rebuild fresh cells,
 /// exactly like the serial engine), and censoring semantics as
 /// run_monte_carlo; child counters fold back into ctx in index order.
@@ -54,13 +58,14 @@ struct BatchStats {
 /// nominal_hold_seed(...) or empty for cold starts).
 McResult run_sample_block(const spice::SimContext& ctx,
                           const sram::CellConfig& base_config,
-                          std::span<const TfetVariationSampler::Draw> draws,
+                          const TfetVariationSampler& sampler,
+                          std::span<const double> tox_values,
                           const CellMetric& metric,
                           const la::Vector& nominal_seed,
                           const BatchOptions& options = {},
                           BatchStats* stats = nullptr);
 
-/// Drop-in replacement for run_monte_carlo: identical draws, child seed
+/// Drop-in replacement for run_monte_carlo: identical Tox stream, child seed
 /// streams, retry/censor behaviour, and (on the dense path) bitwise-
 /// identical results and counters — evaluated through lockstep lanes.
 McResult run_monte_carlo_batched(const spice::SimContext& ctx,

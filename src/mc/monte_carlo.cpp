@@ -22,13 +22,13 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
     TFET_EXPECTS(metric != nullptr);
     TFET_EXPECTS(policy.max_attempts >= 1);
 
-    // Draw all samples up front from one stream: the results are then
-    // independent of how the evaluations are scheduled.
-    std::vector<TfetVariationSampler::Draw> draws;
-    draws.reserve(n);
+    // Draw every sample's Tox up front from one stream, so the results are
+    // independent of how the evaluations are scheduled. The tables are
+    // pure in Tox and are built per sample inside the worker below.
+    std::vector<double> tox(n);
     Rng rng(seed);
     for (std::size_t i = 0; i < n; ++i)
-        draws.push_back(sampler.sample(rng));
+        tox[i] = sampler.sample_tox(rng);
 
     const la::Vector nominal_seed = nominal_hold_seed(ctx, base_config);
 
@@ -50,7 +50,7 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
 
     // Fan the evaluations out through the shared concurrency substrate.
     // Each index writes only its own slots and depends only on its own
-    // draw, so the result is identical for every thread count.
+    // Tox, so the result is identical for every thread count.
     threads = std::min(runner::ThreadPool::resolve(threads), n);
     runner::ThreadPool pool(threads);
     pool.parallel_for(n, [&](std::size_t i) {
@@ -66,12 +66,17 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
         // imputation covers them.
         const bool expired =
             cctx.poll_cancellation() != spice::SolveErrorCode::kNone;
+        // This sample's tables: built just before the first attempt,
+        // shared by its retries, released when the sample is done.
+        device::ModelSet models;
+        if (!expired)
+            models = sampler.draw_at_tox(tox[i]).models;
         for (; !expired && attempt <= policy.max_attempts; ++attempt) {
             // Rebuild from scratch every attempt: fresh device companion
             // state is itself a re-seeded restart, and the reseed hook can
             // additionally perturb the config before the retry.
             sram::CellConfig cfg = base_config;
-            cfg.models = draws[i].models;
+            cfg.models = models;
             if (attempt > 1 && policy.reseed)
                 policy.reseed(cfg, attempt, i);
             sram::SramCell cell = sram::build_cell(cfg, &cctx);
@@ -97,7 +102,7 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
             n_censored.fetch_add(1, std::memory_order_relaxed);
         result.samples[i] = value;
         result.censored[i] = converged ? 0 : 1;
-        result.tox_values[i] = draws[i].tox;
+        result.tox_values[i] = tox[i];
     });
     // parallel_for is a barrier, so the children's counters are quiescent
     // here; fold them into the parent in index order (deterministic sums,

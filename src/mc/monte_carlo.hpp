@@ -58,11 +58,14 @@ struct McResult {
 /// rebuilds the cell from `base_config` with them, and evaluates `metric`.
 ///
 /// `threads` = 0 uses the hardware concurrency; 1 runs serially. Results
-/// are deterministic in the seed regardless of the thread count (each
-/// sample's models are drawn up front from one RNG stream; metric
-/// evaluations are independent because every worker gets its own cell).
-/// The metric must therefore be safe to call concurrently on distinct
-/// cells (all device models are immutable).
+/// are deterministic in the seed regardless of the thread count: every
+/// sample's Tox is drawn up front from one RNG stream, and its lookup
+/// tables are then built by the worker that evaluates it (pure in Tox, so
+/// scheduling cannot change them; only the samples in flight hold
+/// tables). Metric evaluations are independent because every worker gets
+/// its own cell, so the metric must be safe to call concurrently on
+/// distinct cells (all device models are immutable). A sample whose
+/// context has already expired is censored without building its tables.
 ///
 /// Every worker evaluates its sample under a child context of `ctx`
 /// (derived seed stream = sample index), and when all samples finish the

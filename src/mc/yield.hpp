@@ -176,9 +176,10 @@ struct CellYieldProblem {
 };
 
 /// Estimate a cell's failure probability: every adaptive round draws u
-/// from the proposal, maps them through TfetVariationSampler::sample_at
+/// from the proposal, maps them through TfetVariationSampler::tox_at
 /// (untruncated tails), and evaluates the metric through the lockstep
-/// engine (run_sample_block) under ctx — sample i of the whole run uses
+/// engine (run_sample_block, which builds each sample's tables in its
+/// lane) under ctx — sample i of the whole run uses
 /// child stream i, so results are deterministic in (seed, ctx seed) for
 /// every thread count. Censored samples flow into the conservative
 /// bounds. `stats`, when given, accumulates lockstep bookkeeping.

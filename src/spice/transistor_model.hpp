@@ -6,7 +6,9 @@
 // Verilog-A flow uses) live in src/device.
 
 #include <cstddef>
+#include <functional>
 #include <memory>
+#include <vector>
 
 namespace tfetsram::spice {
 
@@ -23,6 +25,12 @@ struct CvSample {
     double cgs; ///< gate-source capacitance [F/um]
     double cgd; ///< gate-drain capacitance [F/um]
 };
+
+/// Consumer of one row of a grid sweep: iv[ix] and cv[ix] are the samples
+/// at (xs[ix], ys[iy]) for ix in [0, nx). The pointers are valid only for
+/// the duration of the call.
+using GridRowSink = std::function<void(std::size_t iy, const IvSample* iv,
+                                       const CvSample* cv)>;
 
 /// Abstract transistor characteristics. Implementations must be smooth
 /// enough for Newton iteration (C1 in both arguments) and defined for all
@@ -49,6 +57,26 @@ public:
 
     /// C-V characteristic.
     [[nodiscard]] virtual CvSample cv(double vgs, double vds) const = 0;
+
+    /// Sample I-V and C-V over the tensor grid xs (vgs) x ys (vds), handing
+    /// `row` one row (fixed vds, every vgs) at a time in ascending iy. The
+    /// default loops the scalar entry points; separable models override it
+    /// to hoist per-axis factors out of the inner loop (table extraction,
+    /// docs/DEVICE_MODEL.md §3). Overrides MUST be bitwise-identical to
+    /// iv()/cv() at every grid point and must not buffer the whole grid.
+    virtual void sample_grid(const double* xs, std::size_t nx,
+                             const double* ys, std::size_t ny,
+                             const GridRowSink& row) const {
+        std::vector<IvSample> iv_row(nx);
+        std::vector<CvSample> cv_row(nx);
+        for (std::size_t iy = 0; iy < ny; ++iy) {
+            for (std::size_t ix = 0; ix < nx; ++ix) {
+                iv_row[ix] = iv(xs[ix], ys[iy]);
+                cv_row[ix] = cv(xs[ix], ys[iy]);
+            }
+            row(iy, iv_row.data(), cv_row.data());
+        }
+    }
 
     /// Short human-readable name for reports ("nTFET", "pMOS", ...).
     [[nodiscard]] virtual const char* name() const = 0;

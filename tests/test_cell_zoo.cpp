@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -191,6 +192,10 @@ struct LegacyCase {
     CellKind kind;
     AccessDevice access;
 };
+
+// Without this gtest prints the raw struct bytes, which hold the address of
+// `name`; under ASLR that changed every discovered test name on each build.
+void PrintTo(const LegacyCase& tc, std::ostream* os) { *os << tc.name; }
 
 const std::vector<LegacyCase>& legacy_cases() {
     static const std::vector<LegacyCase> cases = {

@@ -1,12 +1,17 @@
 // Lookup-table model tests: grid interpolation exactness, asinh round trip,
 // fidelity of the tabulated model against its analytic source across the
-// full 13-decade current range, and derivative continuity.
+// full 13-decade current range, derivative continuity, and bitwise
+// identity of the row-streamed (separable) extraction with the per-point
+// iv()/cv() loop it replaced.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "device/grid2d.hpp"
+#include "device/model_zoo.hpp"
 #include "device/models.hpp"
 #include "device/table_builder.hpp"
 #include "util/rng.hpp"
@@ -258,6 +263,126 @@ TEST(ModelSet, TabulatedFlagControlsTfetsOnly) {
               std::string::npos);
     // CMOS stays analytic in both (the paper's flow tabulates TFETs only).
     EXPECT_EQ(std::string(tab.nmos->name()), "nMOS");
+}
+
+// ---- Separable extraction: bitwise differential against the old loop ----
+
+/// The three grids of one extraction, row-major [iy * nx + ix].
+struct Grids {
+    std::vector<double> t, cgs, cgd;
+};
+
+/// Oracle: the per-point extraction loop build_table ran before it
+/// streamed rows through TransistorModel::sample_grid — one scalar iv()
+/// and cv() call per grid point.
+Grids per_point_extraction(const spice::TransistorModel& source,
+                           const TableSpec& spec) {
+    const DeviceTable shape("oracle", spec); // axes, F(vds), compression
+    const Grid2d& g = shape.t_grid();
+    Grids out;
+    for (std::size_t iy = 0; iy < g.ny(); ++iy) {
+        const double vds = g.y_at(iy);
+        const DeviceTable::OutputShape f = shape.output_shape(vds);
+        for (std::size_t ix = 0; ix < g.nx(); ++ix) {
+            const double vgs = g.x_at(ix);
+            const spice::IvSample s = source.iv(vgs, vds);
+            const double ratio =
+                std::fabs(f.f) > 1e-9 ? s.ids / f.f : s.gds / f.df;
+            out.t.push_back(shape.compress_ratio(ratio));
+            const spice::CvSample c = source.cv(vgs, vds);
+            out.cgs.push_back(c.cgs);
+            out.cgd.push_back(c.cgd);
+        }
+    }
+    return out;
+}
+
+Grids grids_of(const DeviceTable& table) {
+    Grids out;
+    const Grid2d& g = table.t_grid();
+    for (std::size_t iy = 0; iy < g.ny(); ++iy)
+        for (std::size_t ix = 0; ix < g.nx(); ++ix) {
+            out.t.push_back(table.t_grid().at(ix, iy));
+            out.cgs.push_back(table.cgs_grid().at(ix, iy));
+            out.cgd.push_back(table.cgd_grid().at(ix, iy));
+        }
+    return out;
+}
+
+bool bitwise_equal(const std::vector<double>& a,
+                   const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void expect_extraction_identical(const spice::TransistorModel& source,
+                                 const TableSpec& spec = {}) {
+    const Grids want = per_point_extraction(source, spec);
+    const Grids got = grids_of(*build_table(source, spec));
+    ASSERT_EQ(got.t.size(), spec.points * spec.points);
+    EXPECT_TRUE(bitwise_equal(got.t, want.t)) << source.name() << " T";
+    EXPECT_TRUE(bitwise_equal(got.cgs, want.cgs)) << source.name() << " Cgs";
+    EXPECT_TRUE(bitwise_equal(got.cgd, want.cgd)) << source.name() << " Cgd";
+}
+
+TfetParams tox_scaled(TfetParams p, double scale) {
+    p.tox *= scale;
+    return p;
+}
+
+TEST(SeparableExtraction, TfetPairBitwiseAcrossToxCorners) {
+    for (double scale : {0.95, 1.0, 1.05}) {
+        SCOPED_TRACE(scale);
+        const TfetParams p = tox_scaled(TfetParams{}, scale);
+        expect_extraction_identical(*make_ntfet(p));
+        expect_extraction_identical(*make_ptfet(p)); // mirror path
+    }
+}
+
+TEST(SeparableExtraction, CntfetFlavorAt360KBitwise) {
+    TfetParams p = find_model_set("cntfet").tfet;
+    p.temperature = 360.0;
+    expect_extraction_identical(*make_ntfet(p));
+    expect_extraction_identical(*make_ptfet(p));
+}
+
+TEST(SeparableExtraction, CoarseGridBitwise) {
+    TableSpec coarse;
+    coarse.points = 121;
+    expect_extraction_identical(*make_ntfet(), coarse);
+    expect_extraction_identical(*make_ptfet(), coarse);
+}
+
+TEST(SeparableExtraction, DefaultRowPathForMosfetsBitwise) {
+    // MOSFETs do not override sample_grid: the default scalar loop (and,
+    // for pMOS, the mirror around it) must equal the old extraction too.
+    expect_extraction_identical(*make_nmos());
+    expect_extraction_identical(*make_pmos());
+}
+
+TEST(SeparableExtraction, RowsMatchScalarEntryPoints) {
+    // The row contract itself, off the table axes: each row arrives once,
+    // in ascending order, with samples equal to iv()/cv() bit for bit.
+    const std::vector<double> xs = {-1.2, -0.1, 0.0, 0.33, 0.8, 1.4};
+    const std::vector<double> ys = {-1.0, -0.9, -0.2, 0.0, 0.05, 0.7};
+    for (const spice::TransistorModelPtr& m : {make_ntfet(), make_ptfet()}) {
+        std::size_t next_row = 0;
+        m->sample_grid(
+            xs.data(), xs.size(), ys.data(), ys.size(),
+            [&](std::size_t iy, const spice::IvSample* iv,
+                const spice::CvSample* cv) {
+                EXPECT_EQ(iy, next_row++);
+                for (std::size_t ix = 0; ix < xs.size(); ++ix) {
+                    const spice::IvSample s = m->iv(xs[ix], ys[iy]);
+                    const spice::CvSample c = m->cv(xs[ix], ys[iy]);
+                    EXPECT_EQ(std::memcmp(&iv[ix], &s, sizeof s), 0)
+                        << m->name() << " iv at " << ix << "," << iy;
+                    EXPECT_EQ(std::memcmp(&cv[ix], &c, sizeof c), 0)
+                        << m->name() << " cv at " << ix << "," << iy;
+                }
+            });
+        EXPECT_EQ(next_row, ys.size());
+    }
 }
 
 } // namespace

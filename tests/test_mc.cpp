@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "mc/monte_carlo.hpp"
 #include "sram/designs.hpp"
@@ -112,8 +114,8 @@ TEST(MonteCarlo, EnvSampleOverride) {
 }
 
 TEST(MonteCarlo, ParallelMatchesSerial) {
-    // Determinism across thread counts: the draws are pre-generated, so
-    // scheduling cannot change the result.
+    // Determinism across thread counts: the Tox stream is pre-drawn and
+    // tables are pure in Tox, so scheduling cannot change the result.
     sram::CellConfig cfg =
         sram::proposed_design(0.8, device::make_model_set()).config;
     const TfetVariationSampler sampler(spec());
@@ -124,6 +126,76 @@ TEST(MonteCarlo, ParallelMatchesSerial) {
     const McResult parallel = run_monte_carlo(cfg, sampler, 8, 5, metric, 4);
     EXPECT_EQ(serial.samples, parallel.samples);
     EXPECT_EQ(serial.tox_values, parallel.tox_values);
+}
+
+TEST(MonteCarlo, StreamedTablesMatchEagerDraws) {
+    // The engine draws only the Tox stream up front and builds each
+    // sample's tables in the worker. That must be invisible: the Tox values
+    // equal a hand-drawn sample_tox stream of the same seed, and samples,
+    // censor flags and folded solver counters equal a reference evaluated
+    // from eager sampler.sample() draws — at 1 and 4 threads (the 4-thread
+    // run builds tables on pool threads concurrently).
+    const sram::CellConfig cfg =
+        sram::proposed_design(0.8, device::make_model_set()).config;
+    const TfetVariationSampler sampler(spec());
+    const CellMetric metric = [](sram::SramCell& cell) {
+        return sram::worst_hold_static_power(cell, sram::MetricOptions{});
+    };
+    constexpr std::size_t kN = 6;
+    constexpr std::uint64_t kSeed = 17;
+
+    Rng tox_rng(kSeed);
+    std::vector<double> tox;
+    for (std::size_t i = 0; i < kN; ++i)
+        tox.push_back(sampler.sample_tox(tox_rng));
+
+    // Eager reference: every draw built up front, then evaluated the way
+    // the engine evaluates sample i (child context i, nominal warm start).
+    spice::SimContext ref_ctx{spice::SimConfig{}};
+    const la::Vector seed_x = nominal_hold_seed(ref_ctx, cfg);
+    Rng rng(kSeed);
+    std::vector<TfetVariationSampler::Draw> draws;
+    for (std::size_t i = 0; i < kN; ++i)
+        draws.push_back(sampler.sample(rng));
+    std::vector<double> ref_samples;
+    for (std::size_t i = 0; i < kN; ++i) {
+        spice::SimContext child = ref_ctx.child(i);
+        const spice::ScopedContext bind(child);
+        sram::CellConfig c = cfg;
+        c.models = draws[i].models;
+        sram::SramCell cell = sram::build_cell(c, &child);
+        cell.dc_seed = seed_x;
+        ref_samples.push_back(metric(cell));
+        ref_ctx.stats() += child.stats();
+    }
+
+    for (std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        spice::SimContext ctx{spice::SimConfig{}};
+        const McResult res =
+            run_monte_carlo(ctx, cfg, sampler, kN, kSeed, metric, threads);
+        ASSERT_EQ(res.samples.size(), kN);
+        for (std::size_t i = 0; i < kN; ++i) {
+            EXPECT_EQ(res.tox_values[i], tox[i]) << i;
+            EXPECT_EQ(res.tox_values[i], draws[i].tox) << i;
+            EXPECT_EQ(std::memcmp(&res.samples[i], &ref_samples[i],
+                                  sizeof(double)),
+                      0)
+                << i;
+            EXPECT_EQ(res.censored[i], 0) << i;
+        }
+        EXPECT_EQ(res.n_censored, 0u);
+        const spice::SolverStats& a = ctx.stats();
+        const spice::SolverStats& b = ref_ctx.stats();
+        EXPECT_EQ(a.nr_iterations, b.nr_iterations);
+        EXPECT_EQ(a.dc_solves, b.dc_solves);
+        EXPECT_EQ(a.transient_steps, b.transient_steps);
+        EXPECT_EQ(a.transient_solves, b.transient_solves);
+        EXPECT_EQ(a.assemblies, b.assemblies);
+        EXPECT_EQ(a.lu_factorizations, b.lu_factorizations);
+        EXPECT_EQ(a.line_search_backtracks, b.line_search_backtracks);
+        EXPECT_EQ(a.batched_evals, b.batched_evals);
+    }
 }
 
 // ---- Sec. 4.3: the paper's sensitivity findings ----

@@ -245,9 +245,9 @@ TEST(McBatch, RebuildEscapeHatchMatchesSerialBuildCounts) {
     constexpr std::uint64_t kSeed = 3;
 
     Rng rng(kSeed);
-    std::vector<TfetVariationSampler::Draw> draws;
+    std::vector<double> tox;
     for (std::size_t i = 0; i < kN; ++i)
-        draws.push_back(sampler.sample(rng));
+        tox.push_back(sampler.sample_tox(rng));
 
     spice::SimContext ctx{spice::SimConfig{}};
     const la::Vector seed_x = nominal_hold_seed(ctx, cfg);
@@ -255,7 +255,7 @@ TEST(McBatch, RebuildEscapeHatchMatchesSerialBuildCounts) {
     options.threads = 1;
     options.reuse_cells = false;
     BatchStats stats;
-    const McResult res = run_sample_block(ctx, cfg, draws,
+    const McResult res = run_sample_block(ctx, cfg, sampler, tox,
                                           hold_power_metric(), seed_x,
                                           options, &stats);
     EXPECT_EQ(res.n_censored, 0u);
