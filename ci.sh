@@ -123,8 +123,9 @@ gate_wall array64x64
 
 echo "=== microbench: mc_yield wall regression gate ==="
 # The rare-event yield workload runs the whole adaptive loop through the
-# lockstep engine (docs/YIELD.md); its wall gate catches a regression in
-# either the estimator's sample economy or the lane-reuse fast path.
+# Monte-Carlo engine's per-sample loop (docs/YIELD.md); its wall gate
+# catches a regression in either the estimator's sample economy or the
+# per-sample table build and solve.
 gate_wall mc_yield
 
 echo "=== cell zoo: every registered spec through signoff + bench ==="
@@ -142,7 +143,17 @@ TFETSRAM_CACHE=off TFETSRAM_ZOO_CORNERS=smoke \
   ./build/bench/run_all cell_zoo >/dev/null
 grep -q '"failed":0' "$ZOO_OUT"/BENCH_cell_zoo.json
 grep -q '"quarantined":0' "$ZOO_OUT"/BENCH_cell_zoo.json
-grep -q 'bench:' "$ZOO_OUT"/cell_zoo_journal.jsonl
+# Every task's "bench:" values land in its journal line's "metrics" object
+# with the prefix stripped (runner::bench_metrics, docs/YIELD.md), and
+# aggregate into the artifact's "task_metrics": each line must carry the
+# cell's WLcrit, and there must be at least one line.
+ZOO_LINES="$(wc -l < "$ZOO_OUT"/cell_zoo_journal.jsonl)"
+ZOO_METRIC_LINES="$(grep -c '"metrics":{"wlcrit":' "$ZOO_OUT"/cell_zoo_journal.jsonl || true)"
+if [[ "$ZOO_LINES" -lt 1 || "$ZOO_METRIC_LINES" -ne "$ZOO_LINES" ]]; then
+  echo "cell-zoo journal: $ZOO_METRIC_LINES of $ZOO_LINES lines carry WLcrit metrics" >&2
+  exit 1
+fi
+grep -q '"task_metrics"' "$ZOO_OUT"/BENCH_cell_zoo.json
 echo "cell-zoo signoff and bench artifacts verified"
 
 if [[ "$SKIP_ASAN" == "1" ]]; then
@@ -190,15 +201,11 @@ fi
 echo "=== build (ThreadSanitizer) ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DTFETSRAM_SANITIZE=thread
-cmake --build build-tsan -j "$JOBS" --target test_runner test_mc test_mc_batch test_faults test_deadline test_sparse_diff test_context test_hier test_la
+cmake --build build-tsan -j "$JOBS" --target test_runner test_mc test_faults test_deadline test_sparse_diff test_context test_hier test_la
 
 echo "=== tsan: scheduler/cache/pool/fault/context tests ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_runner
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mc
-# The lockstep engine's per-lane cells and index-ordered stats fold are
-# exactly the shared-state-across-a-pool shape TSan exists for; the
-# multi-lane differential test races it on purpose.
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mc_batch
 # Concurrent tasks pinning conflicting solver backends through their own
 # SimContexts, plus the MC inner-pool stats aggregation, under TSan.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_context

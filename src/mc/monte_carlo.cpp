@@ -13,24 +13,18 @@
 
 namespace tfetsram::mc {
 
-McResult run_monte_carlo(const spice::SimContext& ctx,
-                         const sram::CellConfig& base_config,
-                         const TfetVariationSampler& sampler, std::size_t n,
-                         std::uint64_t seed, const CellMetric& metric,
-                         std::size_t threads, const McPolicy& policy) {
+McResult run_sample_block(const spice::SimContext& ctx,
+                          const sram::CellConfig& base_config,
+                          const TfetVariationSampler& sampler,
+                          std::span<const double> tox_values,
+                          const CellMetric& metric,
+                          const la::Vector& nominal_seed, std::size_t threads,
+                          const McPolicy& policy,
+                          std::uint64_t stream_offset) {
+    const std::size_t n = tox_values.size();
     TFET_EXPECTS(n >= 1);
     TFET_EXPECTS(metric != nullptr);
     TFET_EXPECTS(policy.max_attempts >= 1);
-
-    // Draw every sample's Tox up front from one stream, so the results are
-    // independent of how the evaluations are scheduled. The tables are
-    // pure in Tox and are built per sample inside the worker below.
-    std::vector<double> tox(n);
-    Rng rng(seed);
-    for (std::size_t i = 0; i < n; ++i)
-        tox[i] = sampler.sample_tox(rng);
-
-    const la::Vector nominal_seed = nominal_hold_seed(ctx, base_config);
 
     McResult result;
     result.samples.assign(n, 0.0);
@@ -40,13 +34,14 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
     std::atomic<std::size_t> n_retried{0};
 
     // One child context per sample: an isolated stats sink plus a seed
-    // stream derived deterministically from (ctx seed, sample index). The
-    // fault plan is shared, so injection budgets span the whole batch.
+    // stream derived deterministically from (ctx seed, stream_offset +
+    // sample index). The fault plan is shared, so injection budgets span
+    // the whole batch.
     std::vector<std::unique_ptr<spice::SimContext>> children;
     children.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-        children.push_back(
-            std::make_unique<spice::SimContext>(ctx.child(i)));
+        children.push_back(std::make_unique<spice::SimContext>(
+            ctx.child(stream_offset + i)));
 
     // Fan the evaluations out through the shared concurrency substrate.
     // Each index writes only its own slots and depends only on its own
@@ -70,7 +65,7 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
         // shared by its retries, released when the sample is done.
         device::ModelSet models;
         if (!expired)
-            models = sampler.draw_at_tox(tox[i]).models;
+            models = sampler.draw_at_tox(tox_values[i]).models;
         for (; !expired && attempt <= policy.max_attempts; ++attempt) {
             // Rebuild from scratch every attempt: fresh device companion
             // state is itself a re-seeded restart, and the reseed hook can
@@ -102,7 +97,7 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
             n_censored.fetch_add(1, std::memory_order_relaxed);
         result.samples[i] = value;
         result.censored[i] = converged ? 0 : 1;
-        result.tox_values[i] = tox[i];
+        result.tox_values[i] = tox_values[i];
     });
     // parallel_for is a barrier, so the children's counters are quiescent
     // here; fold them into the parent in index order (deterministic sums,
@@ -116,6 +111,24 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
     // neither finite nor infinite).
     result.summary = summarize(result.samples);
     return result;
+}
+
+McResult run_monte_carlo(const spice::SimContext& ctx,
+                         const sram::CellConfig& base_config,
+                         const TfetVariationSampler& sampler, std::size_t n,
+                         std::uint64_t seed, const CellMetric& metric,
+                         std::size_t threads, const McPolicy& policy) {
+    TFET_EXPECTS(n >= 1);
+    // Draw every sample's Tox up front from one stream, so the results are
+    // independent of how the evaluations are scheduled. The tables are
+    // pure in Tox and are built per sample inside the workers.
+    std::vector<double> tox(n);
+    Rng rng(seed);
+    for (std::size_t i = 0; i < n; ++i)
+        tox[i] = sampler.sample_tox(rng);
+    return run_sample_block(ctx, base_config, sampler, tox, metric,
+                            nominal_hold_seed(ctx, base_config), threads,
+                            policy);
 }
 
 McResult run_monte_carlo(const sram::CellConfig& base_config,

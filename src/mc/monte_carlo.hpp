@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "mc/variation.hpp"
 #include "spice/context.hpp"
@@ -31,7 +32,8 @@ struct McPolicy {
     int max_attempts = 3;
     /// Optional perturbed-restart hook: called before each retry
     /// (attempt >= 2) to nudge the rebuilt cell's config — e.g. tweak a
-    /// solver option — deterministically in (attempt, sample index).
+    /// solver option — deterministically in (attempt, sample index). The
+    /// index is the sample's position in its run_sample_block call.
     std::function<void(sram::CellConfig& cfg, int attempt,
                        std::size_t sample_index)>
         reseed;
@@ -86,12 +88,29 @@ McResult run_monte_carlo(const sram::CellConfig& base_config,
                          std::size_t threads = 0,
                          const McPolicy& policy = {});
 
+/// The per-sample loop behind run_monte_carlo and the yield estimator:
+/// evaluate `metric` at every thickness in `tox_values`. Sample i builds
+/// its models with sampler.draw_at_tox(tox_values[i]) and runs under
+/// ctx.child(stream_offset + i), with the cancellation checkpoint, retry
+/// policy and censoring described above; `policy.reseed` sees the
+/// block-local index i. `nominal_seed` warm-starts each sample's first DC
+/// solve (pass nominal_hold_seed(...), or empty for cold starts).
+McResult run_sample_block(const spice::SimContext& ctx,
+                          const sram::CellConfig& base_config,
+                          const TfetVariationSampler& sampler,
+                          std::span<const double> tox_values,
+                          const CellMetric& metric,
+                          const la::Vector& nominal_seed,
+                          std::size_t threads = 0,
+                          const McPolicy& policy = {},
+                          std::uint64_t stream_offset = 0);
+
 /// Solve the nominal cell's hold operating point once so every sample's
 /// first DC solve can warm-start from it (the draws only perturb tox, so
 /// each operating point is a small Newton correction away). A failed
 /// nominal solve returns an empty vector — samples fall back to cold
-/// starts. Shared by the serial and lockstep engines and the yield
-/// estimator so all three spend identical solver work here.
+/// starts. run_monte_carlo and the yield estimator both call it once per
+/// run, before their samples.
 la::Vector nominal_hold_seed(const spice::SimContext& ctx,
                              const sram::CellConfig& base_config);
 

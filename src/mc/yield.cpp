@@ -250,7 +250,7 @@ YieldEstimate estimate_cell_yield(const spice::SimContext& ctx,
                                   const CellYieldProblem& problem,
                                   const YieldOptions& options,
                                   std::uint64_t seed, std::size_t threads,
-                                  const McPolicy& policy, BatchStats* stats) {
+                                  const McPolicy& policy) {
     TFET_EXPECTS(problem.metric != nullptr);
     TFET_EXPECTS(problem.fails != nullptr);
     const TfetVariationSampler sampler(problem.variation);
@@ -262,15 +262,11 @@ YieldEstimate estimate_cell_yield(const spice::SimContext& ctx,
             tox.reserve(us.size());
             for (double u : us)
                 tox.push_back(sampler.tox_at(u));
-            BatchOptions batch_options;
-            batch_options.threads = threads;
-            batch_options.policy = policy;
             // Global sample index = child seed stream, unique per round.
-            batch_options.stream_offset = first;
             const McResult block =
                 run_sample_block(ctx, problem.config, sampler, tox,
-                                 problem.metric, nominal_seed, batch_options,
-                                 stats);
+                                 problem.metric, nominal_seed, threads,
+                                 policy, /*stream_offset=*/first);
             std::vector<SampleVerdict> verdicts;
             verdicts.reserve(us.size());
             for (std::size_t j = 0; j < us.size(); ++j)

@@ -24,11 +24,6 @@ Transistor::Transistor(std::string label, TransistorModelPtr model,
     TFET_EXPECTS(drain != source);
 }
 
-void Transistor::set_model(TransistorModelPtr model) {
-    TFET_EXPECTS(model != nullptr);
-    model_ = std::move(model);
-}
-
 void Transistor::stamp(Stamper& st, const AnalysisState& as,
                        const la::Vector& x) {
     if (st.pattern_only()) {

@@ -28,9 +28,6 @@ public:
     [[nodiscard]] double width_um() const { return width_um_; }
     [[nodiscard]] const TransistorModel& model() const { return *model_; }
 
-    /// Swap the device model (used by Monte-Carlo re-simulation).
-    void set_model(TransistorModelPtr model);
-
     /// Adopt a precomputed I-V slot in the circuit's DeviceEvalBatch.
     /// Called by the batch during layout build; stamp() consumes the slot
     /// whenever the batch holds fresh samples and falls back to the scalar

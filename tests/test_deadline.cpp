@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "mc/batch.hpp"
 #include "mc/monte_carlo.hpp"
 #include "mc/statistics.hpp"
 #include "runner/runner.hpp"
@@ -316,10 +315,9 @@ TEST(McCancellation, DeadlineCensoredSamplesFlowIntoYieldInterval) {
 }
 
 TEST(McCancellation, MidBatchExpiryCensorsOnlyRemainingSamples) {
-    // The token fires from *inside* the lockstep batch — after sample 2's
-    // metric has already produced its value. The completed samples must
-    // survive; only the not-yet-evaluated tail is censored, and both
-    // engines agree on the split and the surviving values bitwise.
+    // The token fires from *inside* the batch — after sample 2's metric has
+    // already produced its value. The completed samples must survive; only
+    // the not-yet-evaluated tail is censored.
     const sram::CellConfig cfg =
         sram::proposed_design(0.8, device::make_model_set()).config;
     mc::VariationSpec vspec;
@@ -328,51 +326,34 @@ TEST(McCancellation, MidBatchExpiryCensorsOnlyRemainingSamples) {
     constexpr std::size_t kN = 6;
     constexpr std::uint64_t kSeed = 23;
 
-    struct Scenario {
-        mc::McResult result;
-        int metric_calls = 0;
+    spice::SimConfig sim;
+    sim.cancel = std::make_shared<spice::CancelToken>();
+    spice::SimContext ctx(sim);
+    int metric_calls = 0;
+    const mc::CellMetric metric = [&](sram::SramCell& cell) {
+        // Solve first, cancel after: the value is complete before the
+        // token fires, so this sample must NOT be censored.
+        const double v =
+            sram::worst_hold_static_power(cell, sram::MetricOptions{});
+        if (++metric_calls == 3)
+            sim.cancel->cancel();
+        return v;
     };
-    const auto run = [&](bool batched) {
-        spice::SimConfig sim;
-        sim.cancel = std::make_shared<spice::CancelToken>();
-        spice::SimContext ctx(sim);
-        Scenario s;
-        const mc::CellMetric metric = [&](sram::SramCell& cell) {
-            // Solve first, cancel after: the value is complete before the
-            // token fires, so this sample must NOT be censored.
-            const double v =
-                sram::worst_hold_static_power(cell, sram::MetricOptions{});
-            if (++s.metric_calls == 3)
-                sim.cancel->cancel();
-            return v;
-        };
-        s.result =
-            batched ? mc::run_monte_carlo_batched(ctx, cfg, sampler, kN,
-                                                  kSeed, metric,
-                                                  /*threads=*/1)
-                    : mc::run_monte_carlo(ctx, cfg, sampler, kN, kSeed,
-                                          metric, /*threads=*/1);
-        return s;
-    };
+    const mc::McResult res = mc::run_monte_carlo(ctx, cfg, sampler, kN, kSeed,
+                                                 metric, /*threads=*/1);
 
-    const Scenario serial = run(false);
-    const Scenario batched = run(true);
-    for (const Scenario* s : {&serial, &batched}) {
-        EXPECT_EQ(s->metric_calls, 3);
-        ASSERT_EQ(s->result.samples.size(), kN);
-        for (std::size_t i = 0; i < kN; ++i)
-            EXPECT_EQ(s->result.censored[i], i < 3 ? 0 : 1) << "i=" << i;
-        EXPECT_EQ(s->result.n_censored, kN - 3);
-        EXPECT_EQ(s->result.summary.count, 3u);
-    }
-    for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_EQ(batched.result.samples[i], serial.result.samples[i]) << i;
+    EXPECT_EQ(metric_calls, 3);
+    ASSERT_EQ(res.samples.size(), kN);
+    for (std::size_t i = 0; i < kN; ++i)
+        EXPECT_EQ(res.censored[i], i < 3 ? 0 : 1) << "i=" << i;
+    EXPECT_EQ(res.n_censored, kN - 3);
+    EXPECT_EQ(res.summary.count, 3u);
 
     // The conservative interval stays honest about the censored tail: the
     // 3 evaluated passes prove no more than 3-of-6 worst-case, no less
     // than 6-of-6 best-case.
-    const mc::YieldInterval cens = mc::censored_yield_interval(
-        3, 3, batched.result.n_censored);
+    const mc::YieldInterval cens =
+        mc::censored_yield_interval(3, 3, res.n_censored);
     EXPECT_DOUBLE_EQ(cens.lower, mc::yield_interval(3, 6).lower);
     EXPECT_DOUBLE_EQ(cens.upper, mc::yield_interval(6, 6).upper);
     EXPECT_LT(cens.lower, mc::yield_interval(3, 3).lower);

@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "mc/monte_carlo.hpp"
+#include "spice/solve_error.hpp"
+#include "spice/solver_select.hpp"
 #include "sram/designs.hpp"
 #include "sram/metrics.hpp"
 
@@ -196,6 +199,125 @@ TEST(MonteCarlo, StreamedTablesMatchEagerDraws) {
         EXPECT_EQ(a.line_search_backtracks, b.line_search_backtracks);
         EXPECT_EQ(a.batched_evals, b.batched_evals);
     }
+}
+
+TEST(MonteCarlo, RetryAndCensorParity) {
+    // A metric that fails on a fixed call schedule: sample 1 needs one
+    // retry, sample 3 exhausts every attempt and is censored. One thread
+    // walks the call sequence (0, 1, 1, 2, 3, 3, 3, 4, 5) in order. Every
+    // attempt rebuilds its cell, so a retried sample's value is bitwise the
+    // one a clean run gets on its first attempt.
+    const sram::CellConfig cfg =
+        sram::proposed_design(0.8, device::make_model_set()).config;
+    const TfetVariationSampler sampler(spec());
+    constexpr std::size_t kN = 6;
+    constexpr std::uint64_t kSeed = 5;
+
+    const auto make_metric = [](int* calls, bool inject) {
+        return [calls, inject](sram::SramCell& cell) {
+            const int call = (*calls)++;
+            const bool fail = inject && (call == 1 || call == 4 ||
+                                         call == 5 || call == 6);
+            if (fail) {
+                spice::SolveError err;
+                err.code = spice::SolveErrorCode::kNonConvergence;
+                err.message = "injected metric failure";
+                throw spice::SolveException(std::move(err));
+            }
+            return sram::worst_hold_static_power(cell,
+                                                 sram::MetricOptions{});
+        };
+    };
+
+    int clean_calls = 0;
+    const McResult clean =
+        run_monte_carlo(spice::SimContext{spice::SimConfig{}}, cfg, sampler,
+                        kN, kSeed, make_metric(&clean_calls, false),
+                        /*threads=*/1);
+    EXPECT_EQ(clean_calls, 6);
+    EXPECT_EQ(clean.n_retried, 0u);
+
+    int calls = 0;
+    const McResult res =
+        run_monte_carlo(spice::SimContext{spice::SimConfig{}}, cfg, sampler,
+                        kN, kSeed, make_metric(&calls, true), /*threads=*/1);
+    EXPECT_EQ(calls, 9);
+
+    const std::array<std::uint8_t, kN> expect_censored = {0, 0, 0, 1, 0, 0};
+    for (std::size_t i = 0; i < kN; ++i) {
+        EXPECT_EQ(res.censored[i], expect_censored[i]) << i;
+        EXPECT_EQ(res.tox_values[i], clean.tox_values[i]) << i;
+        if (expect_censored[i] != 0)
+            EXPECT_TRUE(std::isnan(res.samples[i])) << i;
+        else
+            EXPECT_EQ(res.samples[i], clean.samples[i]) << i;
+    }
+    EXPECT_EQ(res.n_censored, 1u);
+    EXPECT_EQ(res.n_retried, 2u);
+    EXPECT_EQ(res.summary.count, kN - 1);
+}
+
+TEST(MonteCarlo, SparseForcedThreadInvariant) {
+    // On a sparse-forced cell every sample still builds a fresh circuit, so
+    // it pays its own symbolic analysis and pivot search: the samples are
+    // bitwise equal for every thread count and the analysis count is one
+    // per sample plus the nominal warm-start solve.
+    const sram::CellConfig cfg =
+        sram::proposed_design(0.8, device::make_model_set()).config;
+    const TfetVariationSampler sampler(spec());
+    const CellMetric metric = [](sram::SramCell& cell) {
+        return sram::worst_hold_static_power(cell, sram::MetricOptions{});
+    };
+    constexpr std::size_t kN = 8;
+    constexpr std::uint64_t kSeed = 11;
+
+    spice::SimConfig sparse_cfg;
+    sparse_cfg.mode = spice::SolverMode::kSparse;
+    spice::SimContext one_ctx{sparse_cfg};
+    const McResult one =
+        run_monte_carlo(one_ctx, cfg, sampler, kN, kSeed, metric, 1);
+    spice::SimContext four_ctx{sparse_cfg};
+    const McResult four =
+        run_monte_carlo(four_ctx, cfg, sampler, kN, kSeed, metric, 4);
+
+    ASSERT_EQ(one.n_censored, 0u);
+    ASSERT_EQ(four.n_censored, 0u);
+    for (std::size_t i = 0; i < kN; ++i)
+        EXPECT_EQ(std::memcmp(&one.samples[i], &four.samples[i],
+                              sizeof(double)),
+                  0)
+            << i;
+    EXPECT_EQ(one_ctx.stats().sparse_symbolic_analyses, kN + 1);
+    EXPECT_EQ(four_ctx.stats().sparse_symbolic_analyses, kN + 1);
+    EXPECT_EQ(one_ctx.stats().nr_iterations, four_ctx.stats().nr_iterations);
+}
+
+TEST(MonteCarlo, SampleBlockOffsetsChildStreams) {
+    // Sample i of a block runs under child stream stream_offset + i, the
+    // scheme the adaptive yield loop relies on to give every sample of a
+    // run its own deterministic stream across rounds.
+    const sram::CellConfig cfg =
+        sram::proposed_design(0.8, device::make_model_set()).config;
+    const TfetVariationSampler sampler(spec());
+    const std::vector<double> tox = {sampler.tox_at(-1.0),
+                                     sampler.tox_at(0.0),
+                                     sampler.tox_at(1.0)};
+    const spice::SimContext ctx{spice::SimConfig{}};
+    std::vector<std::uint64_t> seeds;
+    const McResult res = run_sample_block(
+        ctx, cfg, sampler, tox,
+        [&](sram::SramCell& cell) {
+            seeds.push_back(cell.sim->seed());
+            return cell.config.vdd;
+        },
+        /*nominal_seed=*/{}, /*threads=*/1, McPolicy{},
+        /*stream_offset=*/5);
+    ASSERT_EQ(seeds.size(), tox.size());
+    for (std::size_t i = 0; i < tox.size(); ++i) {
+        EXPECT_EQ(seeds[i], ctx.child(5 + i).seed()) << i;
+        EXPECT_EQ(res.tox_values[i], tox[i]) << i;
+    }
+    EXPECT_NE(seeds[0], ctx.child(0).seed());
 }
 
 // ---- Sec. 4.3: the paper's sensitivity findings ----

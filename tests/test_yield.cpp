@@ -187,7 +187,7 @@ TEST(YieldIS, AllCensoredIsVacuousNotFatal) {
 }
 
 TEST(YieldIS, CellYieldSmokeDeterministic) {
-    // End-to-end through the lockstep engine on the real 6T cell: hold
+    // End-to-end through the Monte-Carlo engine on the real 6T cell: hold
     // static power beyond its own +2 sigma log-linear projection. Small
     // budget — this is a wiring test, the estimator math is pinned above.
     sram::CellConfig cfg =
@@ -227,14 +227,11 @@ TEST(YieldIS, CellYieldSmokeDeterministic) {
     options.min_failures = 2;
     options.target_rel_halfwidth = 0.5;
 
-    BatchStats stats;
     const YieldEstimate a = estimate_cell_yield(
-        spice::ambient_context(), problem, options, 99, /*threads=*/1,
-        McPolicy{}, &stats);
+        spice::ambient_context(), problem, options, 99, /*threads=*/1);
     EXPECT_GE(a.n_samples, options.min_samples);
     EXPECT_EQ(a.n_censored, 0u);
     EXPECT_GT(a.n_fail, 0u) << "the 2-sigma surface should be reachable";
-    EXPECT_GT(stats.model_retargets, 0u);
     EXPECT_GE(a.upper, a.p_fail);
     EXPECT_LE(a.lower, a.p_fail);
 
