@@ -49,6 +49,22 @@ std::string censored_yield_text(std::size_t passes, std::size_t samples,
            format_sci(yi.upper, 3) + "]";
 }
 
+/// WLcrit, with NaN — the metric's "simulation failed" sentinel, unlike
+/// +inf, which is a legit write-failure outcome — surfaced as a structured
+/// solver error, so the runner can retry or quarantine a sweep point and
+/// the MC engine can retry or censor a sample.
+double wlcrit_or_throw(sram::SramCell& cell, sram::Assist assist,
+                       const sram::MetricOptions& opts) {
+    const double wl = sram::critical_wordline_pulse(cell, assist, opts);
+    if (std::isnan(wl)) {
+        spice::SolveError err;
+        err.code = spice::SolveErrorCode::kNonConvergence;
+        err.message = "wlcrit: transient simulation failed";
+        throw spice::SolveException(std::move(err));
+    }
+    return wl;
+}
+
 } // namespace
 
 // ------------------------------------------------------------- Fig. 6(e)
@@ -86,18 +102,7 @@ int run_fig6_write_assist(const runner::RunnerConfig& config) {
                 cell_cfg.beta = beta;
                 cell_cfg.models = standard_models();
                 sram::SramCell cell = sram::build_cell(cell_cfg);
-                const double wl =
-                    sram::critical_wordline_pulse(cell, a, opts);
-                // NaN is the metric's "simulation failed" sentinel (unlike
-                // +inf, which is a legit write-failure outcome): surface it
-                // as a structured solver error so the runner can retry or
-                // quarantine this sweep point.
-                if (std::isnan(wl)) {
-                    spice::SolveError err;
-                    err.code = spice::SolveErrorCode::kNonConvergence;
-                    err.message = "wlcrit: transient simulation failed";
-                    throw spice::SolveException(std::move(err));
-                }
+                const double wl = wlcrit_or_throw(cell, a, opts);
                 runner::TaskResult result;
                 result.set("csv", format_sci(wl, 8));
                 result.set("pulse", core::format_pulse(wl));
@@ -240,17 +245,7 @@ int run_fig10_mc_read_assist(const runner::RunnerConfig& config) {
         const mc::McResult wl = mc::run_monte_carlo(
             mc_cfg, sampler, samples, kSeed,
             [&](sram::SramCell& cell) {
-                const double p = sram::critical_wordline_pulse(
-                    cell, sram::Assist::kNone, opts);
-                // NaN = solver failure (censor via retry); +inf = genuine
-                // write failure (legit data, kept).
-                if (std::isnan(p)) {
-                    spice::SolveError err;
-                    err.code = spice::SolveErrorCode::kNonConvergence;
-                    err.message = "wlcrit: transient simulation failed";
-                    throw spice::SolveException(std::move(err));
-                }
-                return p;
+                return wlcrit_or_throw(cell, sram::Assist::kNone, opts);
             },
             /*threads=*/1);
         runner::TaskResult result;
@@ -287,15 +282,7 @@ int run_fig10_mc_read_assist(const runner::RunnerConfig& config) {
         sram::CellConfig mc_cfg = cell_cfg;
         mc_cfg.models = standard_models();
         const auto wl_metric = [opts](sram::SramCell& cell) {
-            const double p = sram::critical_wordline_pulse(
-                cell, sram::Assist::kNone, opts);
-            if (std::isnan(p)) {
-                spice::SolveError err;
-                err.code = spice::SolveErrorCode::kNonConvergence;
-                err.message = "yield: wlcrit transient failed";
-                throw spice::SolveException(std::move(err));
-            }
-            return p;
+            return wlcrit_or_throw(cell, sram::Assist::kNone, opts);
         };
 
         const mc::TfetVariationSampler sampler(mc::VariationSpec{});

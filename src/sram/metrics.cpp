@@ -1,5 +1,6 @@
 #include "sram/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "spice/context.hpp"
@@ -11,6 +12,15 @@ namespace tfetsram::sram {
 
 namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Time at or after `t_from` when the storage node that was high before a
+/// write of `value` first drops below the other one; NaN if it never does.
+double storage_crossover(const spice::TransientResult& tr,
+                         const SramCell& cell, bool value, double t_from) {
+    const spice::NodeId was_high = value ? cell.qb : cell.q;
+    const spice::NodeId was_low = value ? cell.q : cell.qb;
+    return tr.first_crossing_below(was_high, was_low, 0.0, t_from);
+}
 } // namespace
 
 double hold_static_power(SramCell& cell, bool q_high,
@@ -123,26 +133,51 @@ WriteOutcome attempt_write(SramCell& cell, double pulse_width, Assist assist,
     // Sign-adjust so "positive and large" always means "write succeeded".
     out.final_separation = value ? sep : -sep;
     out.flipped = out.final_separation > opts.flip_threshold_frac * vdd;
+    out.crossover =
+        storage_crossover(tr, cell, value, w.wl_start) - w.wl_start;
     return out;
 }
 
-double critical_wordline_pulse(SramCell& cell, Assist assist,
-                               const MetricOptions& opts) {
-    // Every attempt starts from the same hold state, so it is solved once
-    // (by the first attempt) and replayed across the whole bisection.
-    std::optional<HoldState> hold;
+double critical_pulse_search(const PulseWrite& write,
+                             const MetricOptions& opts) {
+    // The monotone oracle: the shortest pulse seen to flip and the longest
+    // seen not to. Only a pulse strictly between them is simulated.
+    double shortest_flip = kInfinitePulse;
+    double longest_hold = -kInfinitePulse;
+    const auto query = [&](double pulse) {
+        WriteOutcome out;
+        if (pulse >= shortest_flip || pulse <= longest_hold) {
+            out.simulated = true;
+            out.flipped = pulse >= shortest_flip;
+            return out;
+        }
+        out = write(pulse);
+        if (out.simulated && out.flipped)
+            shortest_flip = pulse;
+        else if (out.simulated)
+            longest_hold = pulse;
+        return out;
+    };
 
     // Write failure at the maximum pulse means WLcrit is infinite (the
     // paper's "infinite WLcrit" cases for inward nTFET access).
-    WriteOutcome at_max =
-        attempt_write(cell, opts.wlcrit_max, assist, opts, &hold);
+    const WriteOutcome at_max = query(opts.wlcrit_max);
     if (!at_max.simulated)
         return kNaN;
     if (!at_max.flipped)
         return kInfinitePulse;
 
-    WriteOutcome at_min =
-        attempt_write(cell, opts.wlcrit_min, assist, opts, &hold);
+    // The longest write's crossover time sits close to WLcrit: bracket it
+    // from both sides. The probes only feed the oracle; a failed one
+    // leaves it as it was.
+    const double guess = at_max.crossover;
+    if (guess > 0.0 && std::isfinite(guess)) {
+        for (const double probe :
+             {guess * kWlcritHintFactor, guess / kWlcritHintFactor})
+            query(std::clamp(probe, opts.wlcrit_min, opts.wlcrit_max));
+    }
+
+    const WriteOutcome at_min = query(opts.wlcrit_min);
     if (at_min.simulated && at_min.flipped)
         return opts.wlcrit_min;
 
@@ -150,7 +185,7 @@ double critical_wordline_pulse(SramCell& cell, Assist assist,
     double hi = opts.wlcrit_max;  // known-passing
     while ((hi - lo) / hi > opts.wlcrit_rel_tol) {
         const double mid = 0.5 * (lo + hi);
-        const WriteOutcome out = attempt_write(cell, mid, assist, opts, &hold);
+        const WriteOutcome out = query(mid);
         if (!out.simulated)
             return kNaN;
         if (out.flipped)
@@ -159,6 +194,18 @@ double critical_wordline_pulse(SramCell& cell, Assist assist,
             lo = mid;
     }
     return hi;
+}
+
+double critical_wordline_pulse(SramCell& cell, Assist assist,
+                               const MetricOptions& opts) {
+    // Every attempt starts from the same hold state, so it is solved once
+    // (by the first attempt) and replayed across the whole search.
+    std::optional<HoldState> hold;
+    return critical_pulse_search(
+        [&](double pulse) {
+            return attempt_write(cell, pulse, assist, opts, &hold);
+        },
+        opts);
 }
 
 double write_delay(SramCell& cell, Assist assist, const MetricOptions& opts) {
@@ -176,11 +223,7 @@ double write_delay(SramCell& cell, Assist assist, const MetricOptions& opts) {
     if (!tr.completed)
         return kNaN;
 
-    // Crossover: v(high-before) - v(low-before) drops through zero.
-    const spice::NodeId was_high = value ? cell.qb : cell.q;
-    const spice::NodeId was_low = value ? cell.q : cell.qb;
-    const double t_cross =
-        tr.first_crossing_below(was_high, was_low, 0.0, w.wl_start);
+    const double t_cross = storage_crossover(tr, cell, value, w.wl_start);
     if (std::isnan(t_cross))
         return kNaN;
     return t_cross - w.wl_mid;

@@ -8,6 +8,7 @@
 //  * write delay (WL assertion to storage-node crossover) and read delay
 //    (WL assertion to a sensable bitline droop), Sec. 5.
 
+#include <functional>
 #include <limits>
 #include <optional>
 
@@ -54,7 +55,10 @@ DrnmResult dynamic_read_noise_margin(SramCell& cell,
 
 /// Critical wordline pulse width, optionally with a write assist. Returns
 /// +infinity when even the longest pulse cannot flip the cell (write
-/// failure), and NaN when the simulation itself fails.
+/// failure), and NaN when the simulation itself fails. The search is
+/// critical_pulse_search over attempt_write. A pulse whose outcome the
+/// writes already simulated decide is not simulated, so a transient that
+/// would have failed at such a pulse cannot turn the result into NaN.
 double critical_wordline_pulse(SramCell& cell, Assist assist = Assist::kNone,
                                const MetricOptions& opts = {});
 
@@ -74,6 +78,12 @@ struct WriteOutcome {
     bool simulated = false;
     bool flipped = false;
     double final_separation = 0.0; ///< v(q) - v(qb) at the end, sign-adjusted
+    /// Storage-node crossover time, measured from the start of the
+    /// wordline's asserting edge [s]: when the node that held the high
+    /// level first drops below the other one. NaN when the nodes never
+    /// crossed. critical_wordline_pulse brackets WLcrit around the
+    /// crossover of its longest write.
+    double crossover = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// Run one write of the preferred polarity with the given pulse width.
@@ -88,6 +98,30 @@ WriteOutcome attempt_write(SramCell& cell, double pulse_width, Assist assist,
 
 inline constexpr double kInfinitePulse =
     std::numeric_limits<double>::infinity();
+
+/// One write of a given pulse width, as critical_pulse_search sees it.
+using PulseWrite = std::function<WriteOutcome(double pulse_width)>;
+
+/// Factor around the crossover guess that critical_pulse_search probes:
+/// first guess * factor (expected to flip), then guess / factor (expected
+/// not to).
+inline constexpr double kWlcritHintFactor = 1.1;
+
+/// The search core of critical_wordline_pulse, over any write predicate.
+/// It runs the plain bisection's control flow (the `wlcrit_max` write
+/// first, then `wlcrit_min`, then midpoints until (hi - lo) / hi <=
+/// `wlcrit_rel_tol`, with the same +inf and NaN returns), but routes every
+/// pulse through a monotone oracle: a pulse at or above the shortest
+/// flipping pulse seen so far flips, a pulse at or below the longest
+/// non-flipping one does not, and only pulses strictly between the two
+/// reach `write`. Right after the `wlcrit_max` write it probes its
+/// crossover time g at g * kWlcritHintFactor and g / kWlcritHintFactor
+/// (clamped to the range), so the bracket is tight from the start; a
+/// probe whose write fails to simulate is ignored. When the outcome is
+/// monotone in pulse width the result is bit-for-bit the plain
+/// bisection's.
+double critical_pulse_search(const PulseWrite& write,
+                             const MetricOptions& opts);
 
 /// Dynamic energy of one write operation (all sources, assist rails
 /// included), using a pulse of `pulse_width`. This quantifies the "dynamic
