@@ -22,8 +22,9 @@ namespace tfetsram::bench {
 namespace {
 
 /// Setup node shared by every sweep: forces the one-per-process model
-/// tables to build before the sweep tasks fan out (they'd otherwise
-/// serialize on the magic static the first time through).
+/// set into existence before the sweep tasks fan out (they'd otherwise
+/// serialize on the magic static the first time through). Its tables
+/// fill lazily, in whichever sweep task first visits each bias region.
 runner::TaskId add_models_task(runner::Runner& r) {
     runner::TaskSpec spec;
     spec.id = "build_models";

@@ -11,8 +11,9 @@
 # parser and device-table extraction suites, then a
 # ThreadSanitizer build running the concurrent subsystem's tests
 # (the task-graph scheduler, thread pool, result cache, the Monte-Carlo
-# engine that fans out through the shared pool, and the fault-injection
-# suite, whose retry/censor/quarantine paths race by construction).
+# engine that fans out through the shared pool, the fault-injection
+# suite, whose retry/censor/quarantine paths race by construction, and
+# the lazily filled device tables that worker threads share).
 #
 # The mixed-vs-flat differential lane (docs/HIERARCHY.md) rides both
 # sanitizer jobs: the ASan+UBSan build runs the `diff`-labelled harnesses
@@ -201,7 +202,7 @@ fi
 echo "=== build (ThreadSanitizer) ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DTFETSRAM_SANITIZE=thread
-cmake --build build-tsan -j "$JOBS" --target test_runner test_mc test_faults test_deadline test_sparse_diff test_context test_hier test_la
+cmake --build build-tsan -j "$JOBS" --target test_runner test_mc test_faults test_deadline test_sparse_diff test_context test_hier test_la test_device_table
 
 echo "=== tsan: scheduler/cache/pool/fault/context tests ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_runner
@@ -228,5 +229,11 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_deadline
 # ambient per-thread SolverStats; the exact-count assertions must hold
 # under TSan's scheduling too.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_hier
+# Device tables fill lazily: the first evaluation of a bias region writes
+# its nodes into a table every thread shares, under a mutex and behind a
+# release-published rectangle that lock-free readers acquire
+# (docs/DEVICE_MODEL.md §3). The four-thread first-use race must be
+# TSan-clean.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_device_table
 
 echo "=== ci.sh: all green ==="

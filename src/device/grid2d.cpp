@@ -108,7 +108,7 @@ inline CubicW monotone_hermite_weights(double p0, double p1, double p2,
 Grid2d::Grid2d(double x0, double x1, std::size_t nx, double y0, double y1,
                std::size_t ny)
     : x0_(x0), x1_(x1), y0_(y0), y1_(y1), nx_(nx), ny_(ny),
-      data_(nx * ny, 0.0) {
+      data_(std::make_unique_for_overwrite<double[]>(nx * ny)) {
     TFET_EXPECTS(nx >= 4 && ny >= 4);
     TFET_EXPECTS(x1 > x0 && y1 > y0);
     hx_ = (x1 - x0) / static_cast<double>(nx - 1);
@@ -137,18 +137,11 @@ double Grid2d::at(std::size_t ix, std::size_t iy) const {
     return data_[iy * nx_ + ix];
 }
 
-Grid2d::InnerSample Grid2d::eval_inside(double x, double y) const {
-    // Locate the cell; clamp so the upper edge evaluates in the last cell.
-    // Multiplying by the precomputed reciprocal steps keeps hardware
-    // divides out of the per-iterate device-evaluation hot loop.
-    const double fx_pos = (x - x0_) * inv_hx_;
-    const double fy_pos = (y - y0_) * inv_hy_;
-    const auto ix = std::min(static_cast<std::size_t>(std::max(fx_pos, 0.0)),
-                             nx_ - 2);
-    const auto iy = std::min(static_cast<std::size_t>(std::max(fy_pos, 0.0)),
-                             ny_ - 2);
-    const double tx = fx_pos - static_cast<double>(ix);
-    const double ty = fy_pos - static_cast<double>(iy);
+Grid2d::InnerSample Grid2d::eval_inside(const Cell& c) const {
+    const std::size_t ix = c.ix;
+    const std::size_t iy = c.iy;
+    const double tx = c.fx_pos - static_cast<double>(ix);
+    const double ty = c.fy_pos - static_cast<double>(iy);
 
     double row_f[4];
     double row_fx[4];
@@ -157,12 +150,12 @@ Grid2d::InnerSample Grid2d::eval_inside(double x, double y) const {
         // samples read straight out of the row-major store. This is the
         // branch the device tables take almost always (241x241 grids) and
         // the one the batched evaluator leans on.
-        const double* base = data_.data() + (iy - 1) * nx_ + (ix - 1);
+        const double* base = data_.get() + (iy - 1) * nx_ + (ix - 1);
         for (int r = 0; r < 4; ++r) {
             const double* p = base + static_cast<std::size_t>(r) * nx_;
-            const Cubic c = monotone_hermite(p[0], p[1], p[2], p[3], tx);
-            row_f[r] = c.f;
-            row_fx[r] = c.dfdt * inv_hx_;
+            const Cubic h = monotone_hermite(p[0], p[1], p[2], p[3], tx);
+            row_f[r] = h.f;
+            row_fx[r] = h.dfdt * inv_hx_;
         }
     } else {
         // Fetch with linear extrapolation one sample beyond each edge, so
@@ -215,9 +208,9 @@ Grid2d::InnerSample Grid2d::eval_inside(double x, double y) const {
             const double p1 = fetch(gx, gy);
             const double p2 = fetch(gx + 1, gy);
             const double p3 = fetch(gx + 2, gy);
-            const Cubic c = monotone_hermite(p0, p1, p2, p3, tx);
-            row_f[r] = c.f;
-            row_fx[r] = c.dfdt * inv_hx_;
+            const Cubic h = monotone_hermite(p0, p1, p2, p3, tx);
+            row_f[r] = h.f;
+            row_fx[r] = h.dfdt * inv_hx_;
         }
     }
 
@@ -236,29 +229,19 @@ Grid2d::InnerSample Grid2d::eval_inside(double x, double y) const {
     return {cy.f, fx, cy.dfdt * inv_hy_, fxy};
 }
 
-Grid2d::Sample Grid2d::eval(double x, double y) const {
-    const double xc = std::clamp(x, x0_, x1_);
-    const double yc = std::clamp(y, y0_, y1_);
-    const InnerSample s = eval_inside(xc, yc);
-    if (x == xc && y == yc)
+Grid2d::Sample Grid2d::eval(const Cell& c) const {
+    const InnerSample s = eval_inside(c);
+    if (c.x == c.xc && c.y == c.yc)
         return {s.f, s.fx, s.fy};
     // Bilinear extension beyond the table keeps Newton iterates finite.
     // The boundary slope varies along the edge, so the cross term is what
     // makes the reported fx/fy the exact partials of this extension — a
     // pure f += fx*dx + fy*dy continuation would hand Newton a Jacobian
     // inconsistent with the residual beside the table edges.
-    const double dx = x - xc;
-    const double dy = y - yc;
+    const double dx = c.x - c.xc;
+    const double dy = c.y - c.yc;
     return {s.f + s.fx * dx + s.fy * dy + s.fxy * dx * dy,
             s.fx + s.fxy * dy, s.fy + s.fxy * dx};
-}
-
-void Grid2d::eval_many(const double* xs, const double* ys, std::size_t n,
-                       Sample* out) const {
-    // Scalar loop: the batched device path depends on bitwise agreement
-    // with eval(), which calling it trivially guarantees.
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = eval(xs[i], ys[i]);
 }
 
 } // namespace tfetsram::device

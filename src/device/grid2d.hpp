@@ -4,8 +4,9 @@
 // Newton iteration needs continuous first derivatives, which bilinear
 // interpolation cannot provide.
 
+#include <algorithm>
 #include <cstddef>
-#include <vector>
+#include <memory>
 
 #include "util/contracts.hpp"
 
@@ -14,6 +15,10 @@ namespace tfetsram::device {
 class Grid2d {
 public:
     /// Grid over [x0, x1] x [y0, y1] with nx * ny samples (nx, ny >= 4).
+    /// Node storage starts uninitialised: the owner writes every node it
+    /// will read (DeviceTable fills only the region its evaluations visit,
+    /// so nodes it never fills are never touched and never become
+    /// resident).
     Grid2d(double x0, double x1, std::size_t nx, double y0, double y1,
            std::size_t ny);
 
@@ -32,19 +37,50 @@ public:
         double fy;
     };
 
+    /// Where an evaluation at (x, y) reads the grid: the point clamped
+    /// into the domain, its position in units of the node spacing, and the
+    /// cell (ix, iy) it falls in. The interpolant reads the 4x4 stencil
+    /// [ix-1, ix+2] x [iy-1, iy+2], clipped to the grid (edge cells
+    /// extrapolate linearly from the two outermost nodes).
+    struct Cell {
+        double x, y;           ///< the query point, possibly off-grid
+        double xc, yc;         ///< clamped into [x0, x1] x [y0, y1]
+        double fx_pos, fy_pos; ///< clamped position / node spacing
+        std::size_t ix, iy;    ///< cell index, ix <= nx-2, iy <= ny-2
+    };
+
+    /// Locate the cell eval(x, y) reads. Split out so a caller can act on
+    /// the stencil before the read (DeviceTable fills it on first use)
+    /// without computing the index twice.
+    [[nodiscard]] Cell locate(double x, double y) const {
+        Cell c;
+        c.x = x;
+        c.y = y;
+        c.xc = std::clamp(x, x0_, x1_);
+        c.yc = std::clamp(y, y0_, y1_);
+        // Clamp so the upper edge evaluates in the last cell. Multiplying
+        // by the precomputed reciprocal steps keeps hardware divides out
+        // of the per-iterate device-evaluation hot loop.
+        c.fx_pos = (c.xc - x0_) * inv_hx_;
+        c.fy_pos = (c.yc - y0_) * inv_hy_;
+        c.ix = std::min(static_cast<std::size_t>(std::max(c.fx_pos, 0.0)),
+                        nx_ - 2);
+        c.iy = std::min(static_cast<std::size_t>(std::max(c.fy_pos, 0.0)),
+                        ny_ - 2);
+        return c;
+    }
+
     /// Evaluate at (x, y). Outside the domain the surface continues
     /// linearly along the boundary gradient, so Newton excursions beyond
     /// the table stay well-behaved. fx/fy are the exact partial
     /// derivatives of the interpolated surface f — Newton's Jacobian must
     /// differentiate the same function the residual evaluates.
-    [[nodiscard]] Sample eval(double x, double y) const;
+    [[nodiscard]] Sample eval(double x, double y) const {
+        return eval(locate(x, y));
+    }
 
-    /// Batched evaluation: out[i] = eval(xs[i], ys[i]) for i in [0, n).
-    /// Today this is a plain scalar loop over eval() — one entry point the
-    /// batched device path can later vectorize (no fused SoA pass yet).
-    /// Must stay bitwise-identical to n scalar eval() calls.
-    void eval_many(const double* xs, const double* ys, std::size_t n,
-                   Sample* out) const;
+    /// eval() at a point already located; bitwise equal to eval(c.x, c.y).
+    [[nodiscard]] Sample eval(const Cell& c) const;
 
 private:
     /// Sample plus the cross second derivative d2f/dxdy at the same point.
@@ -57,13 +93,13 @@ private:
         double fy;
         double fxy;
     };
-    [[nodiscard]] InnerSample eval_inside(double x, double y) const;
+    [[nodiscard]] InnerSample eval_inside(const Cell& c) const;
 
     double x0_, x1_, y0_, y1_;
     std::size_t nx_, ny_;
     double hx_, hy_;
     double inv_hx_, inv_hy_; ///< reciprocals: the hot path multiplies
-    std::vector<double> data_; // row-major: [iy * nx + ix]
+    std::unique_ptr<double[]> data_; // row-major: [iy * nx + ix]
 };
 
 } // namespace tfetsram::device

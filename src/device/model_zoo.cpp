@@ -67,8 +67,8 @@ ModelSet make_model_set_at(const TfetParams& tfet, double temperature,
     set.ntfet = make_ntfet(tp);
     set.ptfet = make_ptfet(tp);
     if (tabulated) {
-        set.ntfet = build_table(*set.ntfet);
-        set.ptfet = build_table(*set.ptfet);
+        set.ntfet = build_table(set.ntfet);
+        set.ptfet = build_table(set.ptfet);
     }
     set.nmos = make_nmos(nmos);
     set.pmos = make_pmos(pmos);

@@ -89,8 +89,8 @@ ModelSet make_model_set(const TfetParams& tfet_params, bool tabulated,
     set.ntfet = make_ntfet(tfet_params);
     set.ptfet = make_ptfet(tfet_params);
     if (tabulated) {
-        set.ntfet = build_table(*set.ntfet, spec);
-        set.ptfet = build_table(*set.ptfet, spec);
+        set.ntfet = build_table(set.ntfet, spec);
+        set.ptfet = build_table(set.ptfet, spec);
     }
     set.nmos = make_nmos();
     set.pmos = make_pmos();

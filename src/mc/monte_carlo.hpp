@@ -66,7 +66,8 @@ struct McResult {
 /// scheduling cannot change them; only the samples in flight hold
 /// tables). Metric evaluations are independent because every worker gets
 /// its own cell, so the metric must be safe to call concurrently on
-/// distinct cells (all device models are immutable). A sample whose
+/// distinct cells (device models are immutable in value; tables fill
+/// lazily behind their own lock, docs/DEVICE_MODEL.md §3). A sample whose
 /// context has already expired is censored without building its tables.
 ///
 /// Every worker evaluates its sample under a child context of `ctx`

@@ -47,9 +47,9 @@ TfetVariationSampler::Draw TfetVariationSampler::draw_at_tox(
     draw.models.ptfet = device::make_ptfet(p);
     if (spec_.tabulated) {
         draw.models.ntfet =
-            device::build_table(*draw.models.ntfet, spec_.table_spec);
+            device::build_table(draw.models.ntfet, spec_.table_spec);
         draw.models.ptfet =
-            device::build_table(*draw.models.ptfet, spec_.table_spec);
+            device::build_table(draw.models.ptfet, spec_.table_spec);
     }
     draw.models.nmos = nominal_mosfets_.nmos;
     draw.models.pmos = nominal_mosfets_.pmos;

@@ -22,9 +22,10 @@ struct VariationSpec {
 /// MOSFET baseline is left at nominal (the paper varies only the TFETs).
 ///
 /// A draw is two steps: sample_tox() consumes the RNG (the only random
-/// part), and draw_at_tox() extracts that thickness's lookup tables (pure
-/// in tox, never touches an RNG). The Monte-Carlo engines take the cheap
-/// Tox stream up front and build each sample's tables in the worker that
+/// part), and draw_at_tox() makes that thickness's lookup tables (pure in
+/// tox, never touches an RNG; they fill lazily as the sample's solves
+/// visit each bias region). The Monte-Carlo engines take the cheap Tox
+/// stream up front and make each sample's tables in the worker that
 /// evaluates it (docs/YIELD.md), so peak memory scales with the worker
 /// lanes, not the sample count.
 class TfetVariationSampler {

@@ -147,7 +147,7 @@ spice::TransistorModelPtr make_model(const std::string& type,
         }
         spice::TransistorModelPtr m = t == "ntfet" ? device::make_ntfet(p)
                                                    : device::make_ptfet(p);
-        return tabulated ? device::build_table(*m) : m;
+        return tabulated ? device::build_table(std::move(m)) : m;
     }
     if (t == "nmos" || t == "pmos") {
         device::MosfetParams p =

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 #include "spice/dc.hpp"
 #include "spice/solution.hpp"
@@ -116,14 +117,18 @@ double time_tol(double t) {
     return std::max(1e-21, 8.0 * std::numeric_limits<double>::epsilon() * t);
 }
 
-/// Max over node unknowns of |err| / (abstol + reltol*|x|).
-double lte_ratio(const la::Vector& x, const la::Vector& x_pred,
+/// Max over node unknowns of |err| / (abstol + reltol*|x_new|), where err
+/// is x_new's distance from the linear-extrapolation predictor
+/// x + slope * (x - x_prev), formed in place.
+double lte_ratio(const la::Vector& x_new, const la::Vector& x,
+                 const la::Vector& x_prev, double slope,
                  std::size_t n_node_unknowns, const SolverOptions& opts) {
     double worst = 0.0;
     for (std::size_t i = 0; i < n_node_unknowns; ++i) {
+        const double pred = x[i] + slope * (x[i] - x_prev[i]);
         const double tol =
-            opts.lte_abstol + opts.lte_reltol * std::fabs(x[i]);
-        worst = std::max(worst, std::fabs(x[i] - x_pred[i]) / tol);
+            opts.lte_abstol + opts.lte_reltol * std::fabs(x_new[i]);
+        worst = std::max(worst, std::fabs(x_new[i] - pred) / tol);
     }
     return worst;
 }
@@ -166,8 +171,11 @@ TransientResult solve_transient(Circuit& circuit, const SimContext& ctx,
 
     double t = 0.0;
     double dt = opts.dt_initial;
+    // Three state buffers rotate through the loop: accepting a step
+    // swaps them instead of allocating.
     la::Vector x = dc.x;       // accepted state at t
     la::Vector x_prev = dc.x;  // accepted state one step earlier
+    la::Vector x_new;          // candidate state at t + dt
     double dt_prev = 0.0;
     bool history_valid = false; // can we form the LTE predictor?
     bool force_be = true;       // backward Euler on first step / post-break
@@ -217,7 +225,6 @@ TransientResult solve_transient(Circuit& circuit, const SimContext& ctx,
         dt = std::min(dt, opts.dt_max);
 
         // Newton solve for the candidate step, shrinking dt on failure.
-        la::Vector x_new;
         bool solved = false;
         for (int attempt = 0; attempt < 40; ++attempt) {
             as.time = t + dt;
@@ -288,12 +295,8 @@ TransientResult solve_transient(Circuit& circuit, const SimContext& ctx,
 
         // Local truncation error control via linear-extrapolation predictor.
         if (history_valid && dt_prev > 0.0) {
-            la::Vector x_pred(x.size());
-            const double slope = dt / dt_prev;
-            for (std::size_t i = 0; i < x.size(); ++i)
-                x_pred[i] = x[i] + slope * (x[i] - x_prev[i]);
-            const double ratio =
-                lte_ratio(x_new, x_pred, n_node_unknowns, opts);
+            const double ratio = lte_ratio(x_new, x, x_prev, dt / dt_prev,
+                                           n_node_unknowns, opts);
             if (ratio > 4.0 && dt > opts.dt_min * 8.0) {
                 dt *= 0.5; // reject and retry with a finer step
                 continue;
@@ -311,8 +314,8 @@ TransientResult solve_transient(Circuit& circuit, const SimContext& ctx,
         ++ctx.stats().transient_steps;
         for (const auto& dev : circuit.devices())
             dev->accept_step(as, x_new);
-        x_prev = std::move(x);
-        x = x_new;
+        std::swap(x_prev, x);
+        std::swap(x, x_new); // x_new keeps the oldest buffer for reuse
         t = as.time;
         result.append(t, x);
         result.time_reached = t;

@@ -1,13 +1,20 @@
 // Lookup-table model tests: grid interpolation exactness, asinh round trip,
 // fidelity of the tabulated model against its analytic source across the
-// full 13-decade current range, derivative continuity, and bitwise
-// identity of the row-streamed (separable) extraction with the per-point
-// iv()/cv() loop it replaced.
+// full 13-decade current range, derivative continuity, bitwise identity
+// of the row-streamed (separable) extraction with the per-point
+// iv()/cv() loop it replaced, and bitwise identity of lazily filled
+// tables with fully filled ones — first use racing on four threads
+// included.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "device/grid2d.hpp"
@@ -129,7 +136,7 @@ TEST(Grid2d, GradientMatchesFiniteDifferencesEverywhere) {
 }
 
 TEST(DeviceTable, OutputShapeOddAndSmooth) {
-    const DeviceTable t("t", TableSpec{});
+    const DeviceTable t(make_ntfet(), TableSpec{});
     const auto p = t.output_shape(0.3);
     const auto m = t.output_shape(-0.3);
     EXPECT_NEAR(p.f, -m.f, 1e-15);
@@ -144,7 +151,7 @@ TEST(DeviceTable, MatchesAnalyticAcrossDecades) {
     // the reconstruction tracks the source to a few percent across the
     // full 13-decade range INCLUDING the zero crossing at vds = 0.
     const auto analytic = make_ntfet();
-    const auto table = build_table(*analytic);
+    const auto table = build_table(analytic);
     Rng rng(17);
     for (int k = 0; k < 400; ++k) {
         const double vgs = rng.uniform(-1.2, 1.2);
@@ -161,7 +168,7 @@ TEST(DeviceTable, AccurateInsideTheFirstVdsCell) {
     // vds = 0 were underestimated by many orders. Now they reconstruct to
     // a few percent.
     const auto analytic = make_ntfet();
-    const auto table = build_table(*analytic);
+    const auto table = build_table(analytic);
     Rng rng(19);
     for (int k = 0; k < 200; ++k) {
         const double vgs = rng.uniform(0.0, 1.2);
@@ -176,7 +183,7 @@ TEST(DeviceTable, AccurateInsideTheFirstVdsCell) {
 TEST(DeviceTable, DerivativesConsistentWithReconstruction) {
     // Newton correctness requirement: gm/gds must be the exact derivatives
     // of the interpolated current surface.
-    const auto table = build_table(*make_ntfet());
+    const auto table = build_table(make_ntfet());
     Rng rng(23);
     for (int k = 0; k < 150; ++k) {
         const double vgs = rng.uniform(-1.0, 1.0);
@@ -205,7 +212,7 @@ TEST(DeviceTable, ConductancesMatchAnalyticInOrder) {
     // must stay within a small factor of the analytic one wherever the
     // latter is significant.
     const auto analytic = make_ntfet();
-    const auto table = build_table(*analytic);
+    const auto table = build_table(analytic);
     Rng rng(29);
     for (int k = 0; k < 200; ++k) {
         const double vgs = rng.uniform(-1.0, 1.0);
@@ -223,7 +230,7 @@ TEST(DeviceTable, OnStateConductanceAtZeroVds) {
     // The latch-stability killer: an on device at vds = 0 must present its
     // full channel conductance, not the cliff-flattened slope.
     const auto analytic = make_ntfet();
-    const auto table = build_table(*analytic);
+    const auto table = build_table(analytic);
     const double g_true = analytic->iv(0.8, 0.0).gds;
     const double g_tab = table->iv(0.8, 0.0).gds;
     EXPECT_GT(g_true, 1e-6);
@@ -231,7 +238,7 @@ TEST(DeviceTable, OnStateConductanceAtZeroVds) {
 }
 
 TEST(DeviceTable, CapsInterpolatedPositive) {
-    const auto table = build_table(*make_ptfet());
+    const auto table = build_table(make_ptfet());
     Rng rng(31);
     for (int k = 0; k < 100; ++k) {
         const spice::CvSample c =
@@ -242,7 +249,7 @@ TEST(DeviceTable, CapsInterpolatedPositive) {
 }
 
 TEST(DeviceTable, AnchorsSurviveTabulation) {
-    const auto table = build_table(*make_ntfet());
+    const auto table = build_table(make_ntfet());
     EXPECT_NEAR(table->iv(1.0, 1.0).ids, 1e-4, 1e-4 * 0.05);
     const double ioff = table->iv(0.0, 1.0).ids;
     EXPECT_GT(ioff, 1e-18);
@@ -250,7 +257,7 @@ TEST(DeviceTable, AnchorsSurviveTabulation) {
 }
 
 TEST(DeviceTable, NameMarksTabulated) {
-    const auto table = build_table(*make_ntfet());
+    const auto table = build_table(make_ntfet());
     EXPECT_NE(std::string(table->name()).find("[tab]"), std::string::npos);
 }
 
@@ -275,9 +282,9 @@ struct Grids {
 /// Oracle: the per-point extraction loop build_table ran before it
 /// streamed rows through TransistorModel::sample_grid — one scalar iv()
 /// and cv() call per grid point.
-Grids per_point_extraction(const spice::TransistorModel& source,
+Grids per_point_extraction(const spice::TransistorModelPtr& source,
                            const TableSpec& spec) {
-    const DeviceTable shape("oracle", spec); // axes, F(vds), compression
+    const DeviceTable shape(source, spec); // axes, F(vds), compression
     const Grid2d& g = shape.t_grid();
     Grids out;
     for (std::size_t iy = 0; iy < g.ny(); ++iy) {
@@ -285,16 +292,26 @@ Grids per_point_extraction(const spice::TransistorModel& source,
         const DeviceTable::OutputShape f = shape.output_shape(vds);
         for (std::size_t ix = 0; ix < g.nx(); ++ix) {
             const double vgs = g.x_at(ix);
-            const spice::IvSample s = source.iv(vgs, vds);
+            const spice::IvSample s = source->iv(vgs, vds);
             const double ratio =
                 std::fabs(f.f) > 1e-9 ? s.ids / f.f : s.gds / f.df;
             out.t.push_back(shape.compress_ratio(ratio));
-            const spice::CvSample c = source.cv(vgs, vds);
+            const spice::CvSample c = source->cv(vgs, vds);
             out.cgs.push_back(c.cgs);
             out.cgd.push_back(c.cgd);
         }
     }
     return out;
+}
+
+/// A table with every node filled: evaluating two opposite corners grows
+/// the filled rectangle to the whole grid.
+std::shared_ptr<const DeviceTable> full_table(
+    spice::TransistorModelPtr source, const TableSpec& spec = {}) {
+    auto table = build_table(std::move(source), spec);
+    (void)table->iv(spec.v_min, spec.v_min);
+    (void)table->iv(spec.v_max, spec.v_max);
+    return table;
 }
 
 Grids grids_of(const DeviceTable& table) {
@@ -315,14 +332,18 @@ bool bitwise_equal(const std::vector<double>& a,
            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-void expect_extraction_identical(const spice::TransistorModel& source,
+void expect_extraction_identical(const spice::TransistorModelPtr& source,
                                  const TableSpec& spec = {}) {
     const Grids want = per_point_extraction(source, spec);
-    const Grids got = grids_of(*build_table(source, spec));
+    const auto table = full_table(source, spec);
+    const DeviceTable::NodeRect all = table->filled();
+    ASSERT_EQ(all.x_hi - all.x_lo, spec.points);
+    ASSERT_EQ(all.y_hi - all.y_lo, spec.points);
+    const Grids got = grids_of(*table);
     ASSERT_EQ(got.t.size(), spec.points * spec.points);
-    EXPECT_TRUE(bitwise_equal(got.t, want.t)) << source.name() << " T";
-    EXPECT_TRUE(bitwise_equal(got.cgs, want.cgs)) << source.name() << " Cgs";
-    EXPECT_TRUE(bitwise_equal(got.cgd, want.cgd)) << source.name() << " Cgd";
+    EXPECT_TRUE(bitwise_equal(got.t, want.t)) << source->name() << " T";
+    EXPECT_TRUE(bitwise_equal(got.cgs, want.cgs)) << source->name() << " Cgs";
+    EXPECT_TRUE(bitwise_equal(got.cgd, want.cgd)) << source->name() << " Cgd";
 }
 
 TfetParams tox_scaled(TfetParams p, double scale) {
@@ -334,30 +355,30 @@ TEST(SeparableExtraction, TfetPairBitwiseAcrossToxCorners) {
     for (double scale : {0.95, 1.0, 1.05}) {
         SCOPED_TRACE(scale);
         const TfetParams p = tox_scaled(TfetParams{}, scale);
-        expect_extraction_identical(*make_ntfet(p));
-        expect_extraction_identical(*make_ptfet(p)); // mirror path
+        expect_extraction_identical(make_ntfet(p));
+        expect_extraction_identical(make_ptfet(p)); // mirror path
     }
 }
 
 TEST(SeparableExtraction, CntfetFlavorAt360KBitwise) {
     TfetParams p = find_model_set("cntfet").tfet;
     p.temperature = 360.0;
-    expect_extraction_identical(*make_ntfet(p));
-    expect_extraction_identical(*make_ptfet(p));
+    expect_extraction_identical(make_ntfet(p));
+    expect_extraction_identical(make_ptfet(p));
 }
 
 TEST(SeparableExtraction, CoarseGridBitwise) {
     TableSpec coarse;
     coarse.points = 121;
-    expect_extraction_identical(*make_ntfet(), coarse);
-    expect_extraction_identical(*make_ptfet(), coarse);
+    expect_extraction_identical(make_ntfet(), coarse);
+    expect_extraction_identical(make_ptfet(), coarse);
 }
 
 TEST(SeparableExtraction, DefaultRowPathForMosfetsBitwise) {
     // MOSFETs do not override sample_grid: the default scalar loop (and,
     // for pMOS, the mirror around it) must equal the old extraction too.
-    expect_extraction_identical(*make_nmos());
-    expect_extraction_identical(*make_pmos());
+    expect_extraction_identical(make_nmos());
+    expect_extraction_identical(make_pmos());
 }
 
 TEST(SeparableExtraction, RowsMatchScalarEntryPoints) {
@@ -383,6 +404,259 @@ TEST(SeparableExtraction, RowsMatchScalarEntryPoints) {
             });
         EXPECT_EQ(next_row, ys.size());
     }
+}
+
+// ---- Lazy fill: fresh tables evaluate bitwise like fully filled ones ----
+
+/// The model flavors whose tables the circuits use, one per source.
+std::vector<std::pair<spice::TransistorModelPtr, TableSpec>> lazy_cases() {
+    std::vector<std::pair<spice::TransistorModelPtr, TableSpec>> cases;
+    for (double scale : {0.95, 1.0, 1.05}) {
+        const TfetParams p = tox_scaled(TfetParams{}, scale);
+        cases.emplace_back(make_ntfet(p), TableSpec{});
+        cases.emplace_back(make_ptfet(p), TableSpec{});
+    }
+    const TfetParams cnt = find_model_set("cntfet").tfet;
+    cases.emplace_back(make_ntfet(cnt), TableSpec{});
+    cases.emplace_back(make_ptfet(cnt), TableSpec{});
+    TableSpec coarse;
+    coarse.points = 121;
+    cases.emplace_back(make_ntfet(), coarse);
+    cases.emplace_back(make_ptfet(), coarse);
+    return cases;
+}
+
+template <class T>
+bool same_bits(const T& a, const T& b) {
+    return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// Evaluate every point on a fresh table over `full`'s source — iv, cv,
+/// then iv_many over all of them — and memcmp each result against the
+/// fully filled table.
+void expect_lazy_bitwise(const DeviceTable& full,
+                         const spice::TransistorModelPtr& source,
+                         const std::vector<double>& vgs,
+                         const std::vector<double>& vds) {
+    const TableSpec& spec = full.spec();
+    const auto fresh = build_table(source, spec);
+    ASSERT_EQ(fresh->filled().x_hi, 0u);
+    for (std::size_t i = 0; i < vgs.size(); ++i) {
+        EXPECT_TRUE(same_bits(fresh->iv(vgs[i], vds[i]),
+                              full.iv(vgs[i], vds[i])))
+            << source->name() << " iv at (" << vgs[i] << ", " << vds[i]
+            << ")";
+        EXPECT_TRUE(same_bits(fresh->cv(vgs[i], vds[i]),
+                              full.cv(vgs[i], vds[i])))
+            << source->name() << " cv at (" << vgs[i] << ", " << vds[i]
+            << ")";
+    }
+    // iv_many on a second fresh table, so the batch path does the fills.
+    const auto batch = build_table(source, spec);
+    std::vector<spice::IvSample> got(vgs.size());
+    batch->iv_many(vgs.data(), vds.data(), vgs.size(), got.data());
+    for (std::size_t i = 0; i < vgs.size(); ++i)
+        EXPECT_TRUE(same_bits(got[i], full.iv(vgs[i], vds[i])))
+            << source->name() << " iv_many at (" << vgs[i] << ", " << vds[i]
+            << ")";
+}
+
+TEST(LazyTable, RandomPointsBitwise) {
+    for (const auto& [source, spec] : lazy_cases()) {
+        SCOPED_TRACE(source->name());
+        Rng rng(41);
+        std::vector<double> vgs, vds;
+        for (int k = 0; k < 300; ++k) {
+            vgs.push_back(rng.uniform(spec.v_min, spec.v_max));
+            vds.push_back(rng.uniform(spec.v_min, spec.v_max));
+        }
+        expect_lazy_bitwise(*full_table(source, spec), source, vgs, vds);
+    }
+}
+
+TEST(LazyTable, StencilsStraddlingBlockEdgesBitwise) {
+    // A cell whose stencil [i-1, i+2] crosses a block edge b needs nodes
+    // on both sides: i in {b-2, b-1, b}. Each such cell is the first use
+    // of its own fresh table, in both axes at once, so the rounding of
+    // the first rectangle must take in the far side of the edge.
+    for (const auto& [source, spec] : lazy_cases()) {
+        SCOPED_TRACE(source->name());
+        const auto full = full_table(source, spec);
+        const Grid2d& g = full->t_grid();
+        const double h = g.x_at(1) - g.x_at(0);
+        for (std::size_t b = DeviceTable::kBlock; b + 1 < spec.points;
+             b += DeviceTable::kBlock) {
+            for (std::size_t i = b - 2; i <= b && i + 1 < spec.points; ++i) {
+                const double v = g.x_at(i) + 0.37 * h;
+                expect_lazy_bitwise(*full, source, {v}, {v});
+                expect_lazy_bitwise(*full, source, {v}, {-v});
+            }
+        }
+    }
+}
+
+TEST(LazyTable, PointsBeyondTheGridBitwise) {
+    // Off-grid queries evaluate at the clamped point and extend linearly:
+    // the edge cells, whose stencils are clipped to the grid, fill first.
+    for (const auto& [source, spec] : lazy_cases()) {
+        SCOPED_TRACE(source->name());
+        const double lo = spec.v_min;
+        const double hi = spec.v_max;
+        expect_lazy_bitwise(*full_table(source, spec), source,
+                            {lo - 0.4, hi + 0.3, 0.2, 0.2, lo - 1.0,
+                             hi + 2.0, lo - 0.01, hi},
+                            {0.1, -0.7, lo - 0.5, hi + 0.2, lo - 1.0,
+                             hi + 2.0, hi + 0.01, lo});
+    }
+}
+
+TEST(LazyTable, CellRangeQueriesFillUnderAQuarter) {
+    // A 0-0.8 V cell drives its n-type devices with vgs, vds in
+    // [0, 0.8] and its p-type devices with both in [-0.8, 0]: the filled
+    // rectangle stays a small corner of the grid.
+    const auto ntab = build_table(make_ntfet());
+    const auto ptab = build_table(make_ptfet());
+    Rng rng(43);
+    for (int k = 0; k < 500; ++k) {
+        const double a = rng.uniform(0.0, 0.8);
+        const double b = rng.uniform(0.0, 0.8);
+        (void)ntab->iv(a, b);
+        (void)ntab->cv(a, b);
+        (void)ptab->iv(-a, -b);
+        (void)ptab->cv(-a, -b);
+    }
+    for (const auto* t : {ntab.get(), ptab.get()}) {
+        const DeviceTable::NodeRect r = t->filled();
+        const double n = static_cast<double>(t->spec().points);
+        const double share = static_cast<double>(r.x_hi - r.x_lo) *
+                             static_cast<double>(r.y_hi - r.y_lo) / (n * n);
+        EXPECT_GT(share, 0.0) << t->name();
+        EXPECT_LT(share, 0.25) << t->name();
+    }
+}
+
+TEST(LazyTable, FirstUseRaceOnFourThreadsBitwise) {
+    // Four threads start together on one fresh table, each walking its
+    // own random points over the grid and beyond: fills race evaluations
+    // and each other. Every result must equal the fully filled table's,
+    // bit for bit.
+    constexpr int kThreads = 4;
+    constexpr int kPoints = 200;
+    // A source no other test tabulates, and every round's table stays
+    // alive, so no fresh table is allocated over the bits of an earlier
+    // one: unfilled nodes must not happen to hold the right values.
+    TfetParams p;
+    p.temperature = 320.0; // moves every node, the p-i-n region included
+    const spice::TransistorModelPtr source = make_ptfet(p);
+    const auto full = full_table(source);
+    std::vector<std::shared_ptr<const DeviceTable>> tables;
+    for (int round = 0; round < 8; ++round) {
+        const auto fresh = tables.emplace_back(build_table(source));
+        std::vector<std::vector<double>> vgs(kThreads), vds(kThreads);
+        for (int t = 0; t < kThreads; ++t) {
+            Rng rng(static_cast<std::uint64_t>(100 * round + t));
+            for (int k = 0; k < kPoints; ++k) {
+                vgs[t].push_back(rng.uniform(-1.6, 1.6));
+                vds[t].push_back(rng.uniform(-1.6, 1.6));
+            }
+        }
+        std::vector<std::vector<spice::IvSample>> iv(kThreads);
+        std::vector<std::vector<spice::CvSample>> cv(kThreads);
+        std::atomic<int> ready{0};
+        std::vector<std::thread> pool;
+        for (int t = 0; t < kThreads; ++t)
+            pool.emplace_back([&, t] {
+                ready.fetch_add(1);
+                while (ready.load() < kThreads)
+                    std::this_thread::yield();
+                for (int k = 0; k < kPoints; ++k) {
+                    iv[t].push_back(fresh->iv(vgs[t][k], vds[t][k]));
+                    cv[t].push_back(fresh->cv(vgs[t][k], vds[t][k]));
+                }
+            });
+        for (std::thread& th : pool)
+            th.join();
+        for (int t = 0; t < kThreads; ++t)
+            for (int k = 0; k < kPoints; ++k) {
+                ASSERT_TRUE(same_bits(iv[t][k],
+                                      full->iv(vgs[t][k], vds[t][k])))
+                    << "round " << round << " thread " << t << " point " << k;
+                ASSERT_TRUE(same_bits(cv[t][k],
+                                      full->cv(vgs[t][k], vds[t][k])))
+                    << "round " << round << " thread " << t << " point " << k;
+            }
+    }
+}
+
+/// Forwards to a real model, except that one armed grid sweep holds
+/// still until another thread reports an evaluation done (or a timeout
+/// passes): a fill held open while that evaluation runs.
+class PausingSource final : public spice::TransistorModel {
+public:
+    explicit PausingSource(spice::TransistorModelPtr inner)
+        : inner_(std::move(inner)) {}
+
+    spice::IvSample iv(double vgs, double vds) const override {
+        return inner_->iv(vgs, vds);
+    }
+    spice::CvSample cv(double vgs, double vds) const override {
+        return inner_->cv(vgs, vds);
+    }
+    const char* name() const override { return inner_->name(); }
+
+    void sample_grid(const double* xs, std::size_t nx, const double* ys,
+                     std::size_t ny,
+                     const spice::GridRowSink& row) const override {
+        if (armed_.exchange(false)) {
+            std::unique_lock<std::mutex> lock(mutex_);
+            in_fill_ = true;
+            changed_.notify_all();
+            changed_.wait_for(lock, std::chrono::milliseconds(50),
+                              [this] { return evaluated_; });
+        }
+        inner_->sample_grid(xs, nx, ys, ny, row);
+    }
+
+    void arm() { armed_ = true; }
+    void wait_until_filling() const {
+        std::unique_lock<std::mutex> lock(mutex_);
+        changed_.wait(lock, [this] { return in_fill_; });
+    }
+    void evaluated() const {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        evaluated_ = true;
+        changed_.notify_all();
+    }
+
+private:
+    spice::TransistorModelPtr inner_;
+    mutable std::atomic<bool> armed_{false};
+    mutable std::mutex mutex_;
+    mutable std::condition_variable changed_;
+    mutable bool in_fill_ = false;
+    mutable bool evaluated_ = false;
+};
+
+TEST(LazyTable, EvaluationDuringAFillWaitsForIt) {
+    // One thread grows the table into the upper quadrant; its fill holds
+    // still while this thread evaluates inside that quadrant. The
+    // evaluation must wait for the fill (it finds the region unpublished
+    // and queues on the grow lock), never read the half-written nodes.
+    // A source no other test tabulates (see the four-thread test).
+    TfetParams p;
+    p.temperature = 330.0;
+    const auto source = std::make_shared<PausingSource>(make_ptfet(p));
+    const auto full = full_table(make_ptfet(p));
+    const auto table = build_table(source);
+    (void)table->iv(0.0, 0.0); // a small first rectangle
+    source->arm();
+    std::thread grower([&] { (void)table->iv(1.45, 1.45); });
+    source->wait_until_filling();
+    const spice::IvSample got = table->iv(1.2, 1.3);
+    source->evaluated();
+    grower.join();
+    EXPECT_TRUE(same_bits(got, full->iv(1.2, 1.3)));
+    EXPECT_EQ(table->filled().x_hi, 240u);
 }
 
 } // namespace

@@ -98,8 +98,8 @@ TEST(Temperature, CellStaticPowerContrast) {
         MosfetParams pmos = pmos_defaults();
         pmos.temperature = temperature;
         ModelSet set;
-        set.ntfet = build_table(*make_ntfet(tp));
-        set.ptfet = build_table(*make_ptfet(tp));
+        set.ntfet = build_table(make_ntfet(tp));
+        set.ptfet = build_table(make_ptfet(tp));
         set.nmos = make_nmos(nmos);
         set.pmos = make_pmos(pmos);
         sram::CellConfig cfg = tfet
