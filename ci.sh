@@ -89,36 +89,44 @@ echo "stalled task detected, cancelled, and quarantined as expected"
 
 echo "=== microbench: solver hot-path counters ==="
 # Cache off: counters must be measured, not replayed (docs/SOLVER.md).
+# Three runs: the wall gates below compare per-workload medians.
 BENCH_OUT="build/ci_bench_out"
 rm -rf "$BENCH_OUT"
-TFETSRAM_CACHE=off TFETSRAM_OUT_DIR="$BENCH_OUT" ./build/bench/microbench
-grep -q '"failed":0' "$BENCH_OUT"/BENCH_microbench.json
-echo "microbench counters recorded in $BENCH_OUT/BENCH_microbench.json"
+for run in 1 2 3; do
+  TFETSRAM_CACHE=off TFETSRAM_OUT_DIR="$BENCH_OUT/run$run" ./build/bench/microbench
+  grep -q '"failed":0' "$BENCH_OUT/run$run"/BENCH_microbench.json
+done
+echo "microbench counters recorded in $BENCH_OUT/run{1,2,3}/BENCH_microbench.json"
 
 echo "=== microbench: array64x64 wall regression gate ==="
 # The sparse-kernel scale workload must stay within 1.5x of the
 # checked-in baseline wall (bench_csv/BENCH_microbench.json, measured on
 # the machine class that recorded it — the generous factor absorbs run
 # noise while still catching an ordering/fast-path regression, which
-# costs well over 2x at this size; docs/SOLVER.md).
+# costs well over 2x at this size; docs/SOLVER.md). The microbench runs
+# its tasks concurrently on one pool, so a single run's task wall depends
+# on what it overlapped: the gate reads the median of the three runs.
 extract_wall() {
   sed -n 's/.*"task_wall_s":{[^}]*"'"$2"'":\([0-9.eE+-]*\).*/\1/p' "$1"
 }
 gate_wall() {
   local workload="$1"
-  local base fresh
+  local base walls fresh run
   base="$(extract_wall bench_csv/BENCH_microbench.json "$workload")"
-  fresh="$(extract_wall "$BENCH_OUT"/BENCH_microbench.json "$workload")"
-  if [[ -z "$base" || -z "$fresh" ]]; then
+  walls="$(for run in 1 2 3; do
+    extract_wall "$BENCH_OUT/run$run"/BENCH_microbench.json "$workload"
+  done)"
+  if [[ -z "$base" || "$(grep -c . <<< "$walls")" -ne 3 ]]; then
     echo "$workload wall missing from BENCH artifact" >&2
     exit 1
   fi
+  fresh="$(sort -g <<< "$walls" | sed -n 2p)"
   if ! awk -v fresh="$fresh" -v base="$base" \
       'BEGIN { exit !(fresh <= 1.5 * base) }'; then
-    echo "$workload regressed: ${fresh}s vs baseline ${base}s (>1.5x)" >&2
+    echo "$workload regressed: median ${fresh}s vs baseline ${base}s (>1.5x)" >&2
     exit 1
   fi
-  echo "$workload wall ${fresh}s within 1.5x of baseline ${base}s"
+  echo "$workload median wall ${fresh}s within 1.5x of baseline ${base}s"
 }
 gate_wall array64x64
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 
 namespace tfetsram::device {
 
@@ -117,11 +118,28 @@ void DeviceTable::fill(std::size_t x0, std::size_t x1, std::size_t y0,
                     // channel conductance divided by F'(0) = 1/v_out.
                     ratio = iv[k].gds / out.df;
                 }
-                t_grid_.at(x0 + k, iy) = compress_ratio(ratio);
+                const double t = compress_ratio(ratio);
+                if (!std::isfinite(t) || !std::isfinite(cv[k].cgs) ||
+                    !std::isfinite(cv[k].cgd)) [[unlikely]]
+                    reject_node(axis_[x0 + k], axis_[iy], t, cv[k]);
+                t_grid_.at(x0 + k, iy) = t;
                 cgs_grid_.at(x0 + k, iy) = cv[k].cgs;
                 cgd_grid_.at(x0 + k, iy) = cv[k].cgd;
             }
         });
+}
+
+void DeviceTable::reject_node(double vgs, double vds, double t,
+                              const spice::CvSample& cv) const {
+    // A non-finite node would flow into every interpolant whose stencil
+    // touches it, and the row and y-pass limiters treat NaN differently:
+    // fail here, naming the node, rather than answer wrongly later.
+    std::ostringstream os;
+    os.precision(17);
+    os << "device table " << name_ << ": non-finite node at (vgs, vds) = ("
+       << vgs << ", " << vds << ") V: T = " << t << ", Cgs = " << cv.cgs
+       << ", Cgd = " << cv.cgd;
+    throw contract_violation(os.str());
 }
 
 DeviceTable::OutputShape DeviceTable::output_shape(double vds) const {
@@ -192,8 +210,20 @@ spice::CvSample DeviceTable::cv(double vgs, double vds) const {
     // The three grids share one geometry: one located cell serves both.
     const Grid2d::Cell c = cgs_grid_.locate(vgs, vds);
     require(c);
-    const double cgs = cgs_grid_.eval(c).f;
-    const double cgd = cgd_grid_.eval(c).f;
+    // Capacitances need values only. Almost every call lands inside the
+    // table on a cell with an on-grid stencil, where both grids share one
+    // x/y basis and skip the gradient; the rest need eval()'s gradient for
+    // the edge extrapolation and the extension beyond the table.
+    double cgs = 0.0;
+    double cgd = 0.0;
+    if (cgs_grid_.has_value_path(c)) {
+        const Grid2d::ValueBasis b = Grid2d::value_basis(c);
+        cgs = cgs_grid_.value(c, b);
+        cgd = cgd_grid_.value(c, b);
+    } else {
+        cgs = cgs_grid_.eval(c).f;
+        cgd = cgd_grid_.eval(c).f;
+    }
     // Interpolation undershoot must not produce a negative capacitance.
     return {std::max(cgs, 1e-18), std::max(cgd, 1e-18)};
 }

@@ -117,8 +117,12 @@ private:
     }
     void grow(std::size_t ix, std::size_t iy) const;
     /// Sample the source over nodes [x0, x1) x [y0, y1) into the grids.
+    /// Throws contract_violation, naming the table and the node, if the
+    /// source yields a non-finite T, Cgs or Cgd.
     void fill(std::size_t x0, std::size_t x1, std::size_t y0,
               std::size_t y1) const;
+    [[noreturn]] void reject_node(double vgs, double vds, double t,
+                                  const spice::CvSample& cv) const;
     [[nodiscard]] Window window_of(const NodeRect& r) const;
 
     std::string name_;

@@ -6,6 +6,37 @@
 namespace tfetsram::device {
 
 namespace {
+/// Cubic Hermite basis at fractional position t in [0,1]: the weights of
+/// p1, m1, p2 and m2 in the interpolated value.
+Grid2d::Basis hermite_basis(double t) {
+    const double t2 = t * t;
+    const double t3 = t2 * t;
+    return {2.0 * t3 - 3.0 * t2 + 1.0, t3 - 2.0 * t2 + t,
+            -2.0 * t3 + 3.0 * t2, t3 - t2};
+}
+
+inline double hermite_value(const Grid2d::Basis& b, double p1, double m1,
+                            double p2, double m2) {
+    return b.h00 * p1 + b.h10 * m1 + b.h01 * p2 + b.h11 * m2;
+}
+
+/// Harmonic-mean node slope of the row pass: zero where the secants
+/// a and b disagree in sign or one vanishes. A NaN secant gives NaN.
+inline double row_slope(double a, double b) {
+    if (a * b <= 0.0)
+        return 0.0;
+    return 2.0 * a * b / (a + b);
+}
+
+/// The same slope as the y-pass tests it (s0 * s1 > 0): a NaN secant
+/// gives zero here. Table nodes are finite (DeviceTable rejects others at
+/// fill time), so the two tests agree on every table.
+inline double column_slope(double a, double b) {
+    if (a * b > 0.0)
+        return 2.0 * a * b / (a + b);
+    return 0.0;
+}
+
 /// Monotone (Fritsch-Carlson) cubic Hermite interpolation of p0..p3 at
 /// fractional position t in [0,1] between p1 and p2; returns value and
 /// d/dt. Node slopes are the harmonic mean of adjacent secants (zero at
@@ -18,21 +49,10 @@ struct Cubic {
 };
 inline Cubic monotone_hermite(double p0, double p1, double p2, double p3,
                               double t) {
-    const double s0 = p1 - p0;
-    const double s1 = p2 - p1;
-    const double s2 = p3 - p2;
-    const auto limited = [](double a, double b) {
-        if (a * b <= 0.0)
-            return 0.0;
-        return 2.0 * a * b / (a + b);
-    };
-    const double m1 = limited(s0, s1);
-    const double m2 = limited(s1, s2);
+    const double m1 = row_slope(p1 - p0, p2 - p1);
+    const double m2 = row_slope(p2 - p1, p3 - p2);
     const double t2 = t * t;
-    const double t3 = t2 * t;
-    const double f = (2.0 * t3 - 3.0 * t2 + 1.0) * p1 +
-                     (t3 - 2.0 * t2 + t) * m1 +
-                     (-2.0 * t3 + 3.0 * t2) * p2 + (t3 - t2) * m2;
+    const double f = hermite_value(hermite_basis(t), p1, m1, p2, m2);
     const double dfdt = (6.0 * t2 - 6.0 * t) * p1 +
                         (3.0 * t2 - 4.0 * t + 1.0) * m1 +
                         (-6.0 * t2 + 6.0 * t) * p2 + (3.0 * t2 - 2.0 * t) * m2;
@@ -51,8 +71,10 @@ struct CubicW {
     double dq0, dq1, dq2, dq3;     ///< d f / d p_r at fixed t
     double ddq0, ddq1, ddq2, ddq3; ///< d^2 f / (dt dp_r): the cross
                                    ///< derivative of the surface needs
-                                   ///< these for d fx / dy
+                                   ///< these for d fx / dy; computed only
+                                   ///< when kCross
 };
+template <bool kCross>
 inline CubicW monotone_hermite_weights(double p0, double p1, double p2,
                                        double p3, double t) {
     const double s0 = p1 - p0;
@@ -61,46 +83,44 @@ inline CubicW monotone_hermite_weights(double p0, double p1, double p2,
     // L(a, b) = 2ab/(a+b) on a*b > 0, else 0; its partials on the smooth
     // branch are dL/da = 2 b^2/(a+b)^2 and dL/db = 2 a^2/(a+b)^2 (both 0
     // on the clamped branch, matching the zero slope there).
-    double m1 = 0.0, la1 = 0.0, lb1 = 0.0;
+    const double m1 = column_slope(s0, s1);
+    double la1 = 0.0, lb1 = 0.0;
     if (s0 * s1 > 0.0) {
         const double d = s0 + s1;
-        m1 = 2.0 * s0 * s1 / d;
         la1 = 2.0 * s1 * s1 / (d * d);
         lb1 = 2.0 * s0 * s0 / (d * d);
     }
-    double m2 = 0.0, la2 = 0.0, lb2 = 0.0;
+    const double m2 = column_slope(s1, s2);
+    double la2 = 0.0, lb2 = 0.0;
     if (s1 * s2 > 0.0) {
         const double d = s1 + s2;
-        m2 = 2.0 * s1 * s2 / d;
         la2 = 2.0 * s2 * s2 / (d * d);
         lb2 = 2.0 * s1 * s1 / (d * d);
     }
     const double t2 = t * t;
-    const double t3 = t2 * t;
-    const double h00 = 2.0 * t3 - 3.0 * t2 + 1.0;
-    const double h10 = t3 - 2.0 * t2 + t;
-    const double h01 = -2.0 * t3 + 3.0 * t2;
-    const double h11 = t3 - t2;
-    CubicW w;
-    w.f = h00 * p1 + h10 * m1 + h01 * p2 + h11 * m2;
+    const Grid2d::Basis b = hermite_basis(t);
+    CubicW w{};
+    w.f = hermite_value(b, p1, m1, p2, m2);
     w.dfdt = (6.0 * t2 - 6.0 * t) * p1 + (3.0 * t2 - 4.0 * t + 1.0) * m1 +
              (-6.0 * t2 + 6.0 * t) * p2 + (3.0 * t2 - 2.0 * t) * m2;
     // Chain rule through m1(p0,p1,p2) and m2(p1,p2,p3): s0 = p1-p0 etc.
-    w.dq0 = h10 * (-la1);
-    w.dq1 = h00 + h10 * (la1 - lb1) + h11 * (-la2);
-    w.dq2 = h01 + h10 * lb1 + h11 * (la2 - lb2);
-    w.dq3 = h11 * lb2;
-    // t-derivatives of the weights (la/lb do not depend on t): these give
-    // d/dt of df/dp_r, i.e. the mixed partial the 2-D cross derivative is
-    // assembled from.
-    const double h00p = 6.0 * t2 - 6.0 * t;
-    const double h10p = 3.0 * t2 - 4.0 * t + 1.0;
-    const double h01p = -6.0 * t2 + 6.0 * t;
-    const double h11p = 3.0 * t2 - 2.0 * t;
-    w.ddq0 = h10p * (-la1);
-    w.ddq1 = h00p + h10p * (la1 - lb1) + h11p * (-la2);
-    w.ddq2 = h01p + h10p * lb1 + h11p * (la2 - lb2);
-    w.ddq3 = h11p * lb2;
+    w.dq0 = b.h10 * (-la1);
+    w.dq1 = b.h00 + b.h10 * (la1 - lb1) + b.h11 * (-la2);
+    w.dq2 = b.h01 + b.h10 * lb1 + b.h11 * (la2 - lb2);
+    w.dq3 = b.h11 * lb2;
+    if constexpr (kCross) {
+        // t-derivatives of the weights (la/lb do not depend on t): these
+        // give d/dt of df/dp_r, i.e. the mixed partial the 2-D cross
+        // derivative is assembled from.
+        const double h00p = 6.0 * t2 - 6.0 * t;
+        const double h10p = 3.0 * t2 - 4.0 * t + 1.0;
+        const double h01p = -6.0 * t2 + 6.0 * t;
+        const double h11p = 3.0 * t2 - 2.0 * t;
+        w.ddq0 = h10p * (-la1);
+        w.ddq1 = h00p + h10p * (la1 - lb1) + h11p * (-la2);
+        w.ddq2 = h01p + h10p * lb1 + h11p * (la2 - lb2);
+        w.ddq3 = h11p * lb2;
+    }
     return w;
 }
 } // namespace
@@ -137,6 +157,7 @@ double Grid2d::at(std::size_t ix, std::size_t iy) const {
     return data_[iy * nx_ + ix];
 }
 
+template <bool kCross>
 Grid2d::InnerSample Grid2d::eval_inside(const Cell& c) const {
     const std::size_t ix = c.ix;
     const std::size_t iy = c.iy;
@@ -219,29 +240,55 @@ Grid2d::InnerSample Grid2d::eval_inside(const Cell& c) const {
     // row_fx[r] — the derivatives of the same interpolant the value comes
     // from, which is what keeps the Newton Jacobian consistent with the
     // residual.
-    const CubicW cy =
-        monotone_hermite_weights(row_f[0], row_f[1], row_f[2], row_f[3], ty);
+    const CubicW cy = monotone_hermite_weights<kCross>(
+        row_f[0], row_f[1], row_f[2], row_f[3], ty);
     const double fx = cy.dq0 * row_fx[0] + cy.dq1 * row_fx[1] +
                       cy.dq2 * row_fx[2] + cy.dq3 * row_fx[3];
-    const double fxy = (cy.ddq0 * row_fx[0] + cy.ddq1 * row_fx[1] +
-                        cy.ddq2 * row_fx[2] + cy.ddq3 * row_fx[3]) *
-                       inv_hy_;
+    double fxy = 0.0;
+    if constexpr (kCross)
+        fxy = (cy.ddq0 * row_fx[0] + cy.ddq1 * row_fx[1] +
+               cy.ddq2 * row_fx[2] + cy.ddq3 * row_fx[3]) *
+              inv_hy_;
     return {cy.f, fx, cy.dfdt * inv_hy_, fxy};
 }
 
 Grid2d::Sample Grid2d::eval(const Cell& c) const {
-    const InnerSample s = eval_inside(c);
-    if (c.x == c.xc && c.y == c.yc)
+    if (c.x == c.xc && c.y == c.yc) {
+        // Inside the table nothing reads the cross derivative.
+        const InnerSample s = eval_inside<false>(c);
         return {s.f, s.fx, s.fy};
+    }
     // Bilinear extension beyond the table keeps Newton iterates finite.
     // The boundary slope varies along the edge, so the cross term is what
     // makes the reported fx/fy the exact partials of this extension — a
     // pure f += fx*dx + fy*dy continuation would hand Newton a Jacobian
     // inconsistent with the residual beside the table edges.
+    const InnerSample s = eval_inside<true>(c);
     const double dx = c.x - c.xc;
     const double dy = c.y - c.yc;
     return {s.f + s.fx * dx + s.fy * dy + s.fxy * dx * dy,
             s.fx + s.fxy * dy, s.fy + s.fxy * dx};
+}
+
+Grid2d::ValueBasis Grid2d::value_basis(const Cell& c) {
+    return {hermite_basis(c.fx_pos - static_cast<double>(c.ix)),
+            hermite_basis(c.fy_pos - static_cast<double>(c.iy))};
+}
+
+double Grid2d::value(const Cell& c, const ValueBasis& b) const {
+    // eval_inside's interior fast path and its y-pass, reduced to the
+    // value: the same row_slope/column_slope/hermite_value arithmetic in
+    // the same order, so the result is bitwise eval(c).f.
+    const double* base = data_.get() + (c.iy - 1) * nx_ + (c.ix - 1);
+    double row_f[4];
+    for (int r = 0; r < 4; ++r) {
+        const double* p = base + static_cast<std::size_t>(r) * nx_;
+        row_f[r] = hermite_value(b.x, p[1], row_slope(p[1] - p[0], p[2] - p[1]),
+                                 p[2], row_slope(p[2] - p[1], p[3] - p[2]));
+    }
+    return hermite_value(
+        b.y, row_f[1], column_slope(row_f[1] - row_f[0], row_f[2] - row_f[1]),
+        row_f[2], column_slope(row_f[2] - row_f[1], row_f[3] - row_f[2]));
 }
 
 } // namespace tfetsram::device

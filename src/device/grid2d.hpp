@@ -82,6 +82,32 @@ public:
     /// eval() at a point already located; bitwise equal to eval(c.x, c.y).
     [[nodiscard]] Sample eval(const Cell& c) const;
 
+    /// Cubic Hermite basis at one fractional position in a cell: the
+    /// weights of the two node values and two node slopes in the value.
+    struct Basis {
+        double h00, h10, h01, h11;
+    };
+    /// The x and y basis of a located cell. It depends on the cell alone,
+    /// so grids of one geometry share it.
+    struct ValueBasis {
+        Basis x, y;
+    };
+    [[nodiscard]] static ValueBasis value_basis(const Cell& c);
+
+    /// Whether value() may serve cell c: the point lies inside the domain
+    /// and the cell's 4x4 stencil is on-grid. Edge cells extrapolate their
+    /// stencil, and the extension beyond the domain needs the gradient;
+    /// both stay on eval(c).
+    [[nodiscard]] bool has_value_path(const Cell& c) const {
+        return c.x == c.xc && c.y == c.yc && c.ix >= 1 && c.ix + 2 < nx_ &&
+               c.iy >= 1 && c.iy + 2 < ny_;
+    }
+
+    /// eval(c).f, bitwise, without the gradient: the four row values and
+    /// the y-pass value only. Requires has_value_path(c); b is
+    /// value_basis(c).
+    [[nodiscard]] double value(const Cell& c, const ValueBasis& b) const;
+
 private:
     /// Sample plus the cross second derivative d2f/dxdy at the same point.
     /// The linear extension beyond the table needs it: the boundary slope
@@ -93,6 +119,9 @@ private:
         double fy;
         double fxy;
     };
+    /// fxy is computed only when kCross: nothing inside the table reads
+    /// it.
+    template <bool kCross>
     [[nodiscard]] InnerSample eval_inside(const Cell& c) const;
 
     double x0_, x1_, y0_, y1_;

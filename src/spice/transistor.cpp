@@ -1,6 +1,7 @@
 #include "spice/transistor.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "spice/eval_batch.hpp"
 #include "spice/solution.hpp"
@@ -64,10 +65,21 @@ void Transistor::stamp(Stamper& st, const AnalysisState& as,
     st.add_current(d_, s_, ieq);
 
     if (as.mode == AnalysisMode::kTransient) {
-        const CvSample cv = model_->cv(vgs, vds);
+        const CvSample cv = cv_at(vgs, vds);
         stamp_cap(st, as, g_, s_, cv.cgs * width_um_, cgs_state_);
         stamp_cap(st, as, g_, d_, cv.cgd * width_um_, cgd_state_);
     }
+}
+
+CvSample Transistor::cv_at(double vgs, double vds) {
+    // Bit patterns, not ==: -0.0 and 0.0 may map to different samples,
+    // and a NaN key must still hit itself.
+    const auto vgs_bits = std::bit_cast<std::uint64_t>(vgs);
+    const auto vds_bits = std::bit_cast<std::uint64_t>(vds);
+    if (!cv_memo_.valid || cv_memo_.vgs_bits != vgs_bits ||
+        cv_memo_.vds_bits != vds_bits)
+        cv_memo_ = {true, vgs_bits, vds_bits, model_->cv(vgs, vds)};
+    return cv_memo_.cv;
 }
 
 void Transistor::stamp_cap(Stamper& st, const AnalysisState& as, NodeId a,
@@ -110,7 +122,7 @@ void Transistor::begin_transient(const la::Vector& x0) {
 void Transistor::accept_step(const AnalysisState& as, const la::Vector& x) {
     const double vgs = branch_voltage(x, g_, s_);
     const double vds = branch_voltage(x, d_, s_);
-    const CvSample cv = model_->cv(vgs, vds);
+    const CvSample cv = cv_at(vgs, vds);
     accept_cap(as, vgs, cv.cgs * width_um_, cgs_state_);
     accept_cap(as, branch_voltage(x, g_, d_), cv.cgd * width_um_, cgd_state_);
 }

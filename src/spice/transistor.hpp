@@ -4,6 +4,8 @@
 // gate-drain capacitances from the model's C-V characteristic integrate via
 // the engine's companion models. Width scales all per-micron quantities.
 
+#include <cstdint>
+
 #include "spice/device.hpp"
 #include "spice/transistor_model.hpp"
 
@@ -48,6 +50,13 @@ private:
         double i_prev = 0.0;
     };
 
+    /// model_->cv(vgs, vds) through a one-entry memo keyed by the bit
+    /// patterns of both voltages. Every transient step's Newton starts at
+    /// the state accept_step() has just evaluated, so each step's first
+    /// assembly hits. Models are pure functions of immutable data, so a
+    /// hit returns exactly what the call would.
+    CvSample cv_at(double vgs, double vds);
+
     void stamp_cap(Stamper& st, const AnalysisState& as, NodeId a, NodeId b,
                    double farads, const CapState& cs) const;
     static void accept_cap(const AnalysisState& as, double v_new, double farads,
@@ -62,6 +71,13 @@ private:
     double width_um_;
     CapState cgs_state_;
     CapState cgd_state_;
+    struct CvMemo {
+        bool valid = false;
+        std::uint64_t vgs_bits = 0;
+        std::uint64_t vds_bits = 0;
+        CvSample cv{};
+    };
+    CvMemo cv_memo_;
 };
 
 } // namespace tfetsram::spice

@@ -55,7 +55,9 @@ public:
             out[i] = iv(vgs[i], vds[i]);
     }
 
-    /// C-V characteristic.
+    /// C-V characteristic. Must be a pure function of (vgs, vds):
+    /// Transistor reuses its last sample when asked again at the same
+    /// bias, bit for bit.
     [[nodiscard]] virtual CvSample cv(double vgs, double vds) const = 0;
 
     /// Sample I-V and C-V over the tensor grid xs (vgs) x ys (vds), handing

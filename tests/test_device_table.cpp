@@ -4,16 +4,21 @@
 // of the row-streamed (separable) extraction with the per-point
 // iv()/cv() loop it replaced, and bitwise identity of lazily filled
 // tables with fully filled ones — first use racing on four threads
-// included.
+// included — and of the value-only C-V and cross-skipping I-V paths with
+// the reference evaluation that computes the full gradient
+// (grid2d_reference.hpp).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -21,6 +26,7 @@
 #include "device/model_zoo.hpp"
 #include "device/models.hpp"
 #include "device/table_builder.hpp"
+#include "grid2d_reference.hpp"
 #include "util/rng.hpp"
 
 namespace tfetsram::device {
@@ -657,6 +663,184 @@ TEST(LazyTable, EvaluationDuringAFillWaitsForIt) {
     grower.join();
     EXPECT_TRUE(same_bits(got, full->iv(1.2, 1.3)));
     EXPECT_EQ(table->filled().x_hi, 240u);
+}
+
+/// Forwards to a real model, except at one node, where the current (or,
+/// with `in_cv`, the gate-drain capacitance) is `bad`.
+class BadNodeSource final : public spice::TransistorModel {
+public:
+    BadNodeSource(spice::TransistorModelPtr inner, double vgs, double vds,
+                  double bad, bool in_cv)
+        : inner_(std::move(inner)), vgs_(vgs), vds_(vds), bad_(bad),
+          in_cv_(in_cv) {}
+
+    spice::IvSample iv(double vgs, double vds) const override {
+        spice::IvSample s = inner_->iv(vgs, vds);
+        if (!in_cv_ && vgs == vgs_ && vds == vds_)
+            s.ids = s.gds = bad_;
+        return s;
+    }
+    spice::CvSample cv(double vgs, double vds) const override {
+        spice::CvSample s = inner_->cv(vgs, vds);
+        if (in_cv_ && vgs == vgs_ && vds == vds_)
+            s.cgd = bad_;
+        return s;
+    }
+    const char* name() const override { return inner_->name(); }
+
+private:
+    spice::TransistorModelPtr inner_;
+    double vgs_, vds_, bad_;
+    bool in_cv_;
+};
+
+TEST(LazyTable, NonFiniteNodeFailsTheFillNamingIt) {
+    // One bad node, far from where the first evaluations land: the table
+    // works until an evaluation's fill reaches the node, then every such
+    // evaluation fails with a diagnostic naming the table and the node,
+    // never an answer interpolated from it.
+    const TableSpec spec;
+    const auto shape = build_table(make_ntfet(), spec);
+    const double vgs = shape->t_grid().x_at(150);
+    const double vds = shape->t_grid().y_at(130);
+    for (const auto& [bad, in_cv] :
+         {std::pair{std::numeric_limits<double>::quiet_NaN(), false},
+          std::pair{std::numeric_limits<double>::infinity(), true}}) {
+        SCOPED_TRACE(in_cv ? "inf Cgd" : "NaN current");
+        const auto table = build_table(
+            std::make_shared<BadNodeSource>(make_ntfet(), vgs, vds, bad,
+                                            in_cv),
+            spec);
+        EXPECT_NO_THROW((void)table->iv(-1.0, -1.0));
+        EXPECT_NO_THROW((void)table->cv(0.1, 0.2));
+        std::ostringstream node;
+        node.precision(17);
+        node << "(" << vgs << ", " << vds << ")";
+        for (int attempt = 0; attempt < 2; ++attempt) {
+            try {
+                (void)(in_cv ? table->cv(vgs + 0.003, vds - 0.004).cgd
+                             : table->iv(vgs + 0.003, vds - 0.004).ids);
+                ADD_FAILURE() << "evaluation beside the bad node returned";
+            } catch (const contract_violation& e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("nTFET[tab]"), std::string::npos) << what;
+                EXPECT_NE(what.find(node.str()), std::string::npos) << what;
+            }
+        }
+    }
+}
+
+// ---- Value-only C-V and cross-skipping I-V: bitwise against the ----
+// ---- reference evaluation that computes the full gradient        ----
+
+/// Probe points for one table: seeded random points inside it, points in
+/// the edge cells (ix or iy at 0 and n-2, where the stencil extrapolates),
+/// and points beyond [v_min, v_max].
+std::vector<std::pair<double, double>> oracle_points(const DeviceTable& t,
+                                                     std::uint64_t seed) {
+    const TableSpec& spec = t.spec();
+    const Grid2d& g = t.t_grid();
+    const std::size_t n = spec.points;
+    const double h = g.x_at(1) - g.x_at(0);
+    std::vector<std::pair<double, double>> pts;
+    Rng rng(seed);
+    for (int k = 0; k < 300; ++k)
+        pts.emplace_back(rng.uniform(spec.v_min, spec.v_max),
+                         rng.uniform(spec.v_min, spec.v_max));
+    const auto in_cell = [&](std::size_t i) {
+        return g.x_at(i) + rng.uniform(0.0, 1.0) * h;
+    };
+    for (const std::size_t edge : {std::size_t{0}, n - 2}) {
+        for (int k = 0; k < 20; ++k) {
+            const auto other = static_cast<std::size_t>(
+                rng.uniform(0.0, static_cast<double>(n - 1)));
+            pts.emplace_back(in_cell(edge), in_cell(other));
+            pts.emplace_back(in_cell(other), in_cell(edge));
+        }
+        pts.emplace_back(in_cell(edge), in_cell(edge));
+        pts.emplace_back(in_cell(edge), in_cell(n - 2 - edge));
+    }
+    pts.emplace_back(spec.v_max, spec.v_max); // the upper edge node
+    const double lo = spec.v_min;
+    const double hi = spec.v_max;
+    for (const auto& [a, b] : std::vector<std::pair<double, double>>{
+             {lo - 0.4, 0.1}, {hi + 0.3, -0.7}, {0.2, lo - 0.5},
+             {0.2, hi + 0.2}, {lo - 1.0, lo - 1.0}, {hi + 2.0, hi + 2.0},
+             {lo - 0.01, hi + 0.01}, {hi, lo - 1e-9}})
+        pts.emplace_back(a, b);
+    return pts;
+}
+
+TEST(ValueOnlyCv, BitwiseAgainstFullGradientReference) {
+    for (const auto& [source, spec] : lazy_cases()) {
+        SCOPED_TRACE(source->name());
+        const auto table = full_table(source, spec);
+        std::size_t value_path = 0;
+        for (const auto& [vgs, vds] : oracle_points(*table, 47)) {
+            const Grid2d::Cell c = table->cgs_grid().locate(vgs, vds);
+            value_path += table->cgs_grid().has_value_path(c) ? 1 : 0;
+            const spice::CvSample got = table->cv(vgs, vds);
+            // Both references: today's gradient path and the full one.
+            const spice::CvSample via_eval{
+                std::max(table->cgs_grid().eval(c).f, 1e-18),
+                std::max(table->cgd_grid().eval(c).f, 1e-18)};
+            const spice::CvSample via_ref{
+                std::max(reference::eval(table->cgs_grid(), spec.v_min,
+                                         spec.v_max, vgs, vds)
+                             .f,
+                         1e-18),
+                std::max(reference::eval(table->cgd_grid(), spec.v_min,
+                                         spec.v_max, vgs, vds)
+                             .f,
+                         1e-18)};
+            EXPECT_TRUE(same_bits(got, via_eval))
+                << "cv at (" << vgs << ", " << vds << ")";
+            EXPECT_TRUE(same_bits(got, via_ref))
+                << "cv at (" << vgs << ", " << vds << ")";
+        }
+        EXPECT_GT(value_path, 250u); // most random points take it
+    }
+}
+
+/// iv()'s reconstruction of the current from a T-grid sample.
+spice::IvSample reconstruct(const DeviceTable& table, double vds,
+                            const Grid2d::Sample& t) {
+    const DeviceTable::OutputShape out = table.output_shape(vds);
+    const double tc = std::clamp(t.f, -600.0, 600.0);
+    const double ex = std::exp(tc);
+    const double exi = 1.0 / ex;
+    const double sh = 0.5 * (ex - exi);
+    const double ch = 0.5 * (ex + exi);
+    const double ir = table.spec().i_ref;
+    return {out.f * ir * sh, out.f * ir * ch * t.fx,
+            out.df * ir * sh + out.f * ir * ch * t.fy};
+}
+
+TEST(CrossSkipIv, BitwiseAgainstFullGradientReference) {
+    for (const auto& [source, spec] : lazy_cases()) {
+        SCOPED_TRACE(source->name());
+        const auto table = full_table(source, spec);
+        const auto pts = oracle_points(*table, 53);
+        std::vector<double> vgs, vds;
+        for (const auto& [a, b] : pts) {
+            vgs.push_back(a);
+            vds.push_back(b);
+        }
+        std::vector<spice::IvSample> batch(pts.size());
+        table->iv_many(vgs.data(), vds.data(), pts.size(), batch.data());
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+            const Grid2d::Sample ref = reference::eval(
+                table->t_grid(), spec.v_min, spec.v_max, vgs[i], vds[i]);
+            EXPECT_TRUE(
+                same_bits(table->t_grid().eval(vgs[i], vds[i]), ref))
+                << "T at (" << vgs[i] << ", " << vds[i] << ")";
+            const spice::IvSample want = reconstruct(*table, vds[i], ref);
+            EXPECT_TRUE(same_bits(table->iv(vgs[i], vds[i]), want))
+                << "iv at (" << vgs[i] << ", " << vds[i] << ")";
+            EXPECT_TRUE(same_bits(batch[i], want))
+                << "iv_many at (" << vgs[i] << ", " << vds[i] << ")";
+        }
+    }
 }
 
 } // namespace

@@ -20,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 
 #include "device/models.hpp"
 #include "la/matrix.hpp"
@@ -159,6 +161,91 @@ TEST(SolverPerf, ColdGuessCacheSkipsSettlingSolve) {
     ASSERT_TRUE(hs1.converged);
     ASSERT_TRUE(hs1.state_ok);
     EXPECT_EQ(d2.dc_solves, 1u); // settling solve replayed from the cache
+}
+
+// ------------------------------------------- accepted-state C-V reuse
+
+/// Forwards every call to a real model and counts the C-V calls.
+class CvCountingModel final : public spice::TransistorModel {
+public:
+    explicit CvCountingModel(spice::TransistorModelPtr inner)
+        : inner_(std::move(inner)) {}
+
+    spice::IvSample iv(double vgs, double vds) const override {
+        return inner_->iv(vgs, vds);
+    }
+    void iv_many(const double* vgs, const double* vds, std::size_t n,
+                 spice::IvSample* out) const override {
+        inner_->iv_many(vgs, vds, n, out);
+    }
+    spice::CvSample cv(double vgs, double vds) const override {
+        ++cv_calls_;
+        return inner_->cv(vgs, vds);
+    }
+    const char* name() const override { return inner_->name(); }
+
+    [[nodiscard]] std::uint64_t cv_calls() const { return cv_calls_; }
+
+private:
+    spice::TransistorModelPtr inner_;
+    mutable std::uint64_t cv_calls_ = 0;
+};
+
+/// A table-model TFET inverter driving a load through one input pulse.
+spice::Circuit tfet_inverter(spice::TransistorModelPtr n,
+                             spice::TransistorModelPtr p,
+                             spice::NodeId* out) {
+    spice::Circuit c;
+    const spice::NodeId vdd = c.add_node("vdd");
+    const spice::NodeId in = c.add_node("in");
+    *out = c.add_node("out");
+    c.add_vsource("VDD", vdd, spice::kGround, spice::Waveform::dc(0.8));
+    c.add_vsource("VIN", in, spice::kGround,
+                  spice::Waveform::pulse(0.0, 0.8, 20e-12, 10e-12, 60e-12,
+                                         10e-12));
+    c.add_transistor("MN", std::move(n), *out, in, spice::kGround, 0.1);
+    c.add_transistor("MP", std::move(p), *out, in, vdd, 0.2);
+    c.add_capacitor("CL", *out, spice::kGround, 1e-16);
+    return c;
+}
+
+TEST(SolverPerf, AcceptedStateCvIsReusedByTheNextStep) {
+    const device::ModelSet tab = device::make_model_set({}, true);
+    spice::NodeId out = 0;
+    // The t=0 operating point is a DC solve, which reads no C-V: measure
+    // its assemblies on an identical circuit so the transient's own remain.
+    spice::Circuit dc_twin = tfet_inverter(tab.ntfet, tab.ptfet, &out);
+    const spice::SolverStats before_dc = spice::solver_stats();
+    ASSERT_TRUE(solve_dc(dc_twin, {}).converged);
+    const std::uint64_t dc_assemblies =
+        metered_since(before_dc).assemblies;
+
+    const auto n = std::make_shared<CvCountingModel>(tab.ntfet);
+    const auto p = std::make_shared<CvCountingModel>(tab.ptfet);
+    spice::Circuit c = tfet_inverter(n, p, &out);
+    const spice::SolverStats before = spice::solver_stats();
+    const spice::TransientResult tr = solve_transient(c, {}, 150e-12);
+    const spice::SolverStats d = metered_since(before);
+    ASSERT_TRUE(tr.completed) << tr.message;
+
+    // Without reuse each transistor reads its C-V once per transient
+    // assembly and once per accepted step. Every step's Newton starts at
+    // the state the previous accept_step() evaluated, so all but the
+    // first step's first assembly reuse it.
+    const std::uint64_t assemblies = d.assemblies - dc_assemblies;
+    const std::uint64_t accepted = d.transient_steps;
+    ASSERT_GT(accepted, 1u);
+    for (const auto* m : {n.get(), p.get()})
+        EXPECT_LE(m->cv_calls() + (accepted - 1), assemblies + accepted)
+            << m->name();
+
+    // The trajectory is the one the solver produced before the reuse,
+    // bit for bit.
+    EXPECT_EQ(accepted, 162u);
+    EXPECT_EQ(assemblies, 405u);
+    EXPECT_EQ(tr.size(), accepted + 1);
+    EXPECT_EQ(tr.voltage_at(out, 40e-12), 0x1.29683474c893cp-1);
+    EXPECT_EQ(tr.final_voltage(out), 0x1.9999ad0e343b7p-1);
 }
 
 // ------------------------------------------------- gmin-stepping runaway
